@@ -1,9 +1,9 @@
 """Command-line front door.
 
 Subcommands: ``validate``, ``get``, ``put``, ``edit``, ``laws``, ``compose``.
-Exit codes: 0 success, 1 usage/parse error (and failed law runs), 2 validation
-failure, 3 rejected links, 4 type error.  Diagnostics go to standard error as
-``file:line:col: code: message``.
+Exit codes: 0 success, 1 usage/parse error (and failed law runs, and inputs
+nested too deeply to process), 2 validation failure, 3 rejected links, 4 type
+error.  Diagnostics go to standard error as ``file:line:col: code: message``.
 """
 
 from __future__ import annotations
@@ -240,6 +240,13 @@ def run(argv: list[str]) -> int:
         return 1
     except (EditError, TreeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print(
+            f"error: input nests too deeply (deeper than the recursion limit of "
+            f"{sys.getrecursionlimit()} allows)",
+            file=sys.stderr,
+        )
         return 1
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import CheckFailure, InvalidLinks, LensHandle
+from .engine import CheckFailure, LensHandle
 from .trees import LinkSet, Tree, link_compose, link_converse
 
 
@@ -71,13 +71,9 @@ class CompositeLens:
         ls_ac2 = frozenset(ls_ac2)
         b, ls_ab = self.first.get(a)
         ls_bc2 = link_converse(link_compose(link_converse(ls_ac2), ls_ab))
-        failure = self.second.check_explain(b, c2, ls_bc2)
-        if failure is not None:
-            return failure
-        try:
-            b2 = self.second.put(b, c2, ls_bc2)
-        except InvalidLinks as e:  # pragma: no cover - check above rules this out
-            return e.failure
+        b2 = self.second.try_put(b, c2, ls_bc2)
+        if isinstance(b2, CheckFailure):
+            return b2
         _, ls_b2c2 = self.second.get(b2)
         ls_ab2 = link_compose(ls_ac2, link_converse(ls_b2c2))
         return self.first.check_explain(a, b2, ls_ab2)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .engine import IllTypedInput
-from .schema import IllTyped, Schema, check_tree_type
+from .schema import PRIMITIVES, IllTyped, Schema, check_tree_type
 from .text import (
     LensSyntaxError,
     TokenCursor,
@@ -126,15 +126,22 @@ def _destroyed(l: Link, p: Path) -> bool:
 
 
 def _type_at(ctx: EditContext | None, view: Tree, p: Path) -> str | None:
+    """Type of the view node at ``p``, read off the schema along the path."""
     if ctx is None:
         return None
-    try:
-        typed = check_tree_type(ctx.schema, ctx.view_type, view)
-    except IllTyped as e:  # pragma: no cover - states are kept well-typed
-        raise IllTypedInput(str(e)) from e
-    if p not in typed.types:
-        raise PathOutOfRange(f"path {list(p)} does not resolve")
-    return typed.types[p]
+    sch = ctx.schema
+    ty = sch.resolve(ctx.view_type)
+    node = view
+    for i in p:
+        if ty in PRIMITIVES or not isinstance(node, Node) or not 0 <= i < len(node.children):
+            raise PathOutOfRange(f"path {list(p)} does not resolve")
+        ctor = sch.constructor(ty, node.ctor)
+        if ctor is None or len(ctor.arg_types) != len(node.children):  # pragma: no cover
+            # apply_script checks its input view and every step keeps it typed
+            raise IllTypedInput(f"view is not a {ty} at a prefix of {list(p)}")
+        ty = sch.resolve(ctor.arg_types[i])
+        node = node.children[i]
+    return ty
 
 
 def _check_type(ctx: EditContext | None, view: Tree, p: Path, t: Tree) -> None:
@@ -333,7 +340,17 @@ def apply_op(st: EditState, op: EditOp, ctx: EditContext | None = None) -> EditS
 
 
 def apply_script(st: EditState, script: Iterable[EditOp], ctx: EditContext | None = None) -> EditState:
-    """Left-to-right fold; the first failing step aborts with its index."""
+    """Left-to-right fold; the first failing step aborts with its index.
+
+    With a typing context the input view is type-checked once, as part of
+    step 0; each step then keeps the view well-typed.
+    """
+    script = list(script)
+    if ctx is not None and script:
+        try:
+            check_tree_type(ctx.schema, ctx.view_type, st.view)
+        except IllTyped as e:
+            raise EditScriptError(0, IllTypedInput(str(e))) from e
     for i, op in enumerate(script):
         try:
             st = apply_op(st, op, ctx)

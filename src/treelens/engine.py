@@ -15,6 +15,16 @@ sharing the view type — keep the region's content and recurse into the
 holes).  Retained regions whose rule belongs to a different source type are
 wrapped by the synthesized conversion chain for the two interchangeable
 types.
+
+put and check are one traversal (``_sync``) that returns either the new
+source or the first ``CheckFailure``: put raises the failure and check
+reports it, so "put iff check" holds by construction.  The input links are
+indexed once as a trie over view paths; each step hands the rule's variables
+their sub-tries by walking the rule's view pattern, so a node costs
+O(pattern) however many links there are.  ``get`` appends every link, with
+absolute paths, to one accumulator.  ``divide`` and ``add_v_prefix`` state
+the per-level link slicing of the paper's definitions; the traversal does not
+call them.
 """
 
 from __future__ import annotations
@@ -25,7 +35,6 @@ from .frontend import Relation, Rule, ValidatedProgram, normalize_type_name
 from .schema import IllTyped, PRIMITIVES, check_tree_type
 from .text import render_path, render_pattern
 from .trees import (
-    EMPTY_LINKS,
     Link,
     LinkSet,
     Path,
@@ -169,23 +178,102 @@ def _generating_rules(
     return current if current else foreign
 
 
-def _shortest_root_link(roots: list[Link]) -> Link:
+def _root_order(l: Link):
     # Shortest source path wins; remaining ties resolve structurally so the
     # choice never depends on set iteration order.
-    return min(
-        roots,
-        key=lambda l: (
-            len(l.source.path),
-            l.source.path,
-            pattern_key(l.source.pattern),
-            pattern_key(l.view.pattern),
-        ),
+    return (
+        len(l.source.path),
+        l.source.path,
+        pattern_key(l.source.pattern),
+        pattern_key(l.view.pattern),
     )
 
 
-def _get(vp: ValidatedProgram, sty: str, vty: str, s: Tree) -> tuple[Tree, LinkSet]:
+class _Index:
+    """Input links as a trie keyed by view-path index.
+
+    ``here`` holds the links ending at this view node, in the order put
+    consumes them; ``kids`` maps a child index to the sub-trie of the links
+    below it.  A node exists only where some link ends at or below it.
+    """
+
+    __slots__ = ("here", "kids")
+
+    def __init__(self) -> None:
+        self.here: list[Link] = []
+        self.kids: dict[int, _Index] = {}
+
+
+def _index_links(ls) -> _Index:
+    root = _Index()
+    crowded: list[_Index] = []
+    for l in frozenset(ls):
+        node = root
+        for i in l.view.path:
+            kid = node.kids.get(i)
+            if kid is None:
+                kid = node.kids[i] = _Index()
+            node = kid
+        node.here.append(l)
+        if len(node.here) == 2:
+            crowded.append(node)
+    for node in crowded:
+        node.here.sort(key=_root_order)
+    return root
+
+
+def _first_link(node: _Index, skip: int) -> Link:
+    """Some link at or below a non-empty index node, ignoring ``skip`` consumed here."""
+    while skip >= len(node.here):
+        node, skip = next(iter(node.kids.values())), 0
+    return node.here[skip]
+
+
+def _scope(rule: Rule, node: _Index | None, skip: int):
+    """Hand the links at and below the current view node to the rule's variables.
+
+    Walks the index along the rule's view pattern, so the cost is bounded by
+    the pattern, not by the number of links.  Returns each variable's index
+    node with the count of its links already consumed, and a link that ends
+    outside every variable (None when there is none).
+    """
+    scoped = dict.fromkeys(rule.variables, (None, 0))
+    if node is None:
+        return scoped, None
+    stack = [(rule.view, node, skip)]
+    while stack:
+        pat, n, k = stack.pop()
+        if isinstance(pat, Var):
+            scoped[pat.name] = (n, k)
+            continue
+        if k < len(n.here):
+            return scoped, n.here[k]
+        for i, kid in n.kids.items():
+            if not (isinstance(pat, PNode) and 0 <= i < len(pat.args)):
+                return scoped, _first_link(kid, 0)
+            stack.append((pat.args[i], kid, 0))
+    return scoped, None
+
+
+def _abs_path(at) -> Path:
+    """The view path of a chain of ``(parent, step)`` pairs."""
+    steps: list[Path] = []
+    while at is not None:
+        at, step = at
+        steps.append(step)
+    return tuple(i for step in reversed(steps) for i in step)
+
+
+def _fail(code: str, message: str, at, link: Link | None = None) -> CheckFailure:
+    return CheckFailure(code, message, _abs_path(at), link)
+
+
+def _get(
+    vp: ValidatedProgram, sty: str, vty: str, s: Tree, spath: Path, vpath: Path, acc: list
+) -> Tree:
+    """View of ``s``; appends its links, at absolute paths, to ``acc``."""
     if sty in PRIMITIVES:
-        return s, EMPTY_LINKS
+        return s
     rel = vp.relation(sty, vty)
     if rel is None:
         raise UnknownRelation(f"{sty} <---> {vty}")
@@ -193,226 +281,140 @@ def _get(vp: ValidatedProgram, sty: str, vty: str, s: Tree) -> tuple[Tree, LinkS
     if rule is None:
         raise IllTypedInput(f"no rule of {sty} <---> {vty} matches the source")
     bindings = decompose(rule.source, s)
-    views: dict[str, Tree] = {}
-    links: set[Link] = set()
-    for x in rule.variables:
-        xv, xls = _get(vp, rule.var_src_type[x], rule.var_view_type[x], bindings[x])
-        views[x] = xv
-        sp, vpth = rule.var_src_path[x], rule.var_view_path[x]
-        for l in xls:
-            links.add(
-                Link(
-                    Region(l.source.pattern, sp + l.source.path),
-                    Region(l.view.pattern, vpth + l.view.path),
-                )
-            )
-    view = reconstruct(rule.view, views)
-    links.add(
-        Link(Region(erase_vars(fill_wildcards(rule.source, s)), ()), Region(rule.view_erased, ()))
+    acc.append(
+        Link(
+            Region(erase_vars(fill_wildcards(rule.source, s)), spath),
+            Region(rule.view_erased, vpath),
+        )
     )
-    return view, frozenset(links)
+    views = {
+        x: _get(
+            vp,
+            rule.var_src_type[x],
+            rule.var_view_type[x],
+            bindings[x],
+            spath + rule.var_src_path[x],
+            vpath + rule.var_view_path[x],
+            acc,
+        )
+        for x in rule.variables
+    }
+    return reconstruct(rule.view, views)
 
 
-def _check(
+def _sync(
     vp: ValidatedProgram,
     sty: str,
     vty: str,
     s: Tree,
     v: Tree,
-    ls,
+    node: _Index | None,
+    skip: int,
     chain: int,
-    at: Path,
-) -> CheckFailure | None:
-    if sty in PRIMITIVES:
-        if ls:
-            return CheckFailure(
-                "E-link-at-leaf", "links may not end inside a primitive value", at, next(iter(ls))
-            )
-        return None
-    rel = vp.relation(sty, vty)
-    if rel is None:
-        return CheckFailure("E-no-relation", f"no relation {sty} <---> {vty}", at)
-    roots = [l for l in ls if l.view.path == ()]
-    if not roots:
-        rule = _select_rebuild_rule(rel, v)
-        if rule is None:
-            return CheckFailure(
-                "E-no-rule", f"no view pattern of {sty} <---> {vty} matches here", at
-            )
-        if rule.bare_view_var is not None:
-            # Bounded rounds: consecutive bare-variable selections consume no
-            # view constructor, so more than one round per relation definition
-            # (plus one) proves a cycle.
-            if chain + 1 > vp.bare_chain_bound:
-                return CheckFailure(
-                    "E-sugar-cycle",
-                    "bare-variable rules recurse without consuming the view",
-                    at,
-                )
-            x = rule.bare_view_var
-            return _check(vp, rule.var_src_type[x], vty, s, v, ls, chain + 1, at)
-        for l in ls:
-            if not any(
-                l.view.path[: len(rule.var_view_path[x])] == rule.var_view_path[x]
-                for x in rule.variables
-            ):
-                return CheckFailure(
-                    "E-stray-link", "link is not scoped under any rule variable", at, l
-                )
-        vb = decompose(rule.view, v)
-        for x in rule.variables:
-            vpth = rule.var_view_path[x]
-            f = _check(
-                vp,
-                rule.var_src_type[x],
-                rule.var_view_type[x],
-                s,
-                vb[x],
-                divide(vpth, ls),
-                0,
-                at + vpth,
-            )
-            if f is not None:
-                return f
-        return None
+    at,
+) -> Tree | CheckFailure:
+    """put and check in one traversal: the new source, or why there is none.
 
-    l = _shortest_root_link(roots)
-    try:
-        ssub = sel(s, l.source.path)
-    except PathOutOfRange:
-        return CheckFailure("E-dangling-source", "source path does not resolve", at, l)
-    if not is_match(l.source.pattern, ssub):
-        return CheckFailure(
-            "E-source-mismatch",
-            f"source does not contain region {render_pattern(l.source.pattern)}",
-            at,
-            l,
-        )
-    if not is_match(l.view.pattern, v):
-        return CheckFailure(
-            "E-view-mismatch",
-            f"view does not contain region {render_pattern(l.view.pattern)}",
-            at,
-            l,
-        )
-    cands = _generating_rules(vp, sty, vty, l)
-    if not cands:
-        return CheckFailure(
-            "E-no-generating-rule", "no rule can generate this link", at, l
-        )
-    if len(cands) > 1:
-        return CheckFailure(
-            "E-ambiguous-link", "more than one rule can generate this link", at, l
-        )
-    rel2, rule, _merged = cands[0]
-    if rel2.source_type != sty and (rel2.source_type, sty, vty) not in vp.inj_table:
-        return CheckFailure(
-            "E-no-conversion",
-            f"region of type {rel2.source_type} cannot be converted to {sty}",
-            at,
-            l,
-        )
-    rest = ls - {l}
-    for other in rest:
-        if not any(
-            other.view.path[: len(rule.var_view_path[x])] == rule.var_view_path[x]
-            for x in rule.variables
-        ):
-            return CheckFailure(
-                "E-overlapping-regions",
-                "second link ends inside this view region",
+    ``node`` indexes the input links at and below the current view node, of
+    which the first ``skip`` ending here are already consumed; ``at`` is the
+    current view path as a ``(parent, step)`` chain.
+    """
+    if sty in PRIMITIVES:
+        if node is not None and (skip < len(node.here) or node.kids):
+            return _fail(
+                "E-link-at-leaf",
+                "links may not end inside a primitive value",
                 at,
-                other,
-            )
-    vb = decompose(rule.view, v)
-    for x in rule.variables:
-        vpth = rule.var_view_path[x]
-        f = _check(
-            vp,
-            rule.var_src_type[x],
-            rule.var_view_type[x],
-            s,
-            vb[x],
-            divide(vpth, rest),
-            0,
-            at + vpth,
-        )
-        if f is not None:
-            return f
-    return None
-
-
-def _apply_inj(vp: ValidatedProgram, frm: str, to: str, vty: str, t: Tree) -> Tree:
-    if frm == to:
-        return t
-    steps = vp.inj_table.get((frm, to, vty))
-    if steps is None:
-        raise InvalidLinks(
-            CheckFailure("E-no-conversion", f"no conversion from {frm} to {to}", ())
-        )
-    for step in steps:
-        t = reconstruct(step.pattern, {step.var: t})
-    return t
-
-
-def _put(
-    vp: ValidatedProgram, sty: str, vty: str, s: Tree, v: Tree, ls, chain: int
-) -> Tree:
-    if sty in PRIMITIVES:
-        if ls:
-            raise InvalidLinks(
-                CheckFailure("E-link-at-leaf", "link ends inside a primitive value", ())
+                _first_link(node, skip),
             )
         return v
     rel = vp.relation(sty, vty)
     if rel is None:
-        raise UnknownRelation(f"{sty} <---> {vty}")
-    roots = [l for l in ls if l.view.path == ()]
-    if not roots:
+        return _fail("E-no-relation", f"no relation {sty} <---> {vty}", at)
+    if node is None or skip >= len(node.here):
         rule = _select_rebuild_rule(rel, v)
         if rule is None:
-            raise InvalidLinks(CheckFailure("E-no-rule", "no applicable rule", ()))
-        if rule.bare_view_var is not None and chain + 1 > vp.bare_chain_bound:
-            raise InvalidLinks(CheckFailure("E-sugar-cycle", "unbounded rule chain", ()))
-        bump = chain + 1 if rule.bare_view_var is not None else 0
-        vb = decompose(rule.view, v)
-        parts = {
-            x: _put(
-                vp,
-                rule.var_src_type[x],
-                rule.var_view_type[x],
-                s,
-                vb[x],
-                divide(rule.var_view_path[x], ls),
-                bump,
+            return _fail("E-no-rule", f"no view pattern of {sty} <---> {vty} matches here", at)
+        if rule.bare_view_var is not None:
+            # Bounded rounds: consecutive bare-variable selections consume no
+            # view constructor, so more than one round per relation definition
+            # (plus one) proves a cycle.
+            chain += 1
+            if chain > vp.bare_chain_bound:
+                return _fail(
+                    "E-sugar-cycle",
+                    "bare-variable rules recurse without consuming the view",
+                    at,
+                )
+        else:
+            chain = 0
+        scoped, stray = _scope(rule, node, skip)
+        if stray is not None:
+            return _fail("E-stray-link", "link is not scoped under any rule variable", at, stray)
+        core_type, core = sty, rule.source_defaulted
+    else:
+        l = node.here[skip]
+        try:
+            ssub = sel(s, l.source.path)
+        except PathOutOfRange:
+            return _fail("E-dangling-source", "source path does not resolve", at, l)
+        if not is_match(l.source.pattern, ssub):
+            return _fail(
+                "E-source-mismatch",
+                f"source does not contain region {render_pattern(l.source.pattern)}",
+                at,
+                l,
             )
-            for x in rule.variables
-        }
-        return reconstruct(rule.source_defaulted, parts)
-
-    l = _shortest_root_link(roots)
-    cands = _generating_rules(vp, sty, vty, l)
-    if len(cands) != 1:
-        raise InvalidLinks(
-            CheckFailure("E-no-generating-rule", "link has no unique generating rule", (), l)
-        )
-    rel2, rule, merged = cands[0]
-    rest = ls - {l}
+        if not is_match(l.view.pattern, v):
+            return _fail(
+                "E-view-mismatch",
+                f"view does not contain region {render_pattern(l.view.pattern)}",
+                at,
+                l,
+            )
+        cands = _generating_rules(vp, sty, vty, l)
+        if not cands:
+            return _fail("E-no-generating-rule", "no rule can generate this link", at, l)
+        if len(cands) > 1:
+            return _fail("E-ambiguous-link", "more than one rule can generate this link", at, l)
+        rel2, rule, core = cands[0]
+        core_type = rel2.source_type
+        if core_type != sty and (core_type, sty, vty) not in vp.inj_table:
+            return _fail(
+                "E-no-conversion",
+                f"region of type {core_type} cannot be converted to {sty}",
+                at,
+                l,
+            )
+        scoped, other = _scope(rule, node, skip + 1)
+        if other is not None:
+            return _fail(
+                "E-overlapping-regions", "second link ends inside this view region", at, other
+            )
+        chain = 0
     vb = decompose(rule.view, v)
-    parts = {
-        x: _put(
+    parts: dict[str, Tree] = {}
+    for x in rule.variables:
+        kid, kid_skip = scoped[x]
+        part = _sync(
             vp,
             rule.var_src_type[x],
             rule.var_view_type[x],
             s,
             vb[x],
-            divide(rule.var_view_path[x], rest),
-            0,
+            kid,
+            kid_skip,
+            chain,
+            (at, rule.var_view_path[x]),
         )
-        for x in rule.variables
-    }
-    core = reconstruct(merged, parts)
-    return _apply_inj(vp, rel2.source_type, sty, vty, core)
+        if isinstance(part, CheckFailure):
+            return part
+        parts[x] = part
+    out = reconstruct(core, parts)
+    if core_type != sty:
+        for step in vp.inj_table[(core_type, sty, vty)]:
+            out = reconstruct(step.pattern, {step.var: out})
+    return out
 
 
 @dataclass
@@ -434,26 +436,46 @@ class LensHandle:
     def get(self, s: Tree) -> tuple[Tree, LinkSet]:
         """View of ``s`` plus the links relating source and view regions."""
         self._require_source_type(s)
-        return _get(self.program, self.source_type, self.view_type, s)
+        acc: list[Link] = []
+        view = _get(self.program, self.source_type, self.view_type, s, (), (), acc)
+        return view, frozenset(acc)
 
     def put(self, s: Tree, v: Tree, ls) -> Tree:
         """New source retaining every linked region; rejects invalid links."""
         self._require_view_type(v)
-        failure = _check(self.program, self.source_type, self.view_type, s, v, frozenset(ls), 0, ())
-        if failure is not None:
-            raise InvalidLinks(failure)
-        return _put(self.program, self.source_type, self.view_type, s, v, frozenset(ls), 0)
+        out = self._put_or_failure(s, v, ls)
+        if isinstance(out, CheckFailure):
+            raise InvalidLinks(out)
+        return out
+
+    def try_put(self, s: Tree, v: Tree, ls) -> Tree | CheckFailure:
+        """put's result, or the failure ``check_explain`` reports, in one pass."""
+        try:
+            check_tree_type(self.program.schema, self.view_type, v)
+        except IllTyped as e:
+            return CheckFailure("E-ill-typed-view", str(e), ())
+        return self._put_or_failure(s, v, ls)
 
     def check(self, s: Tree, v: Tree, ls) -> bool:
         return self.check_explain(s, v, ls) is None
 
     def check_explain(self, s: Tree, v: Tree, ls) -> CheckFailure | None:
         """None when put would succeed, otherwise the first failure found."""
-        try:
-            check_tree_type(self.program.schema, self.view_type, v)
-        except IllTyped as e:
-            return CheckFailure("E-ill-typed-view", str(e), ())
-        return _check(self.program, self.source_type, self.view_type, s, v, frozenset(ls), 0, ())
+        out = self.try_put(s, v, ls)
+        return out if isinstance(out, CheckFailure) else None
+
+    def _put_or_failure(self, s: Tree, v: Tree, ls) -> Tree | CheckFailure:
+        return _sync(
+            self.program,
+            self.source_type,
+            self.view_type,
+            s,
+            v,
+            _index_links(ls),
+            0,
+            0,
+            None,
+        )
 
     def _require_view_type(self, v: Tree) -> None:
         try:

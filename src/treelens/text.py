@@ -11,7 +11,7 @@ order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .trees import (
     IntLeaf,
@@ -45,12 +45,12 @@ class LensSyntaxError(Exception):
         return f"{self.line}:{self.col}: {self.message}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
+    value: Path | None = None  # the indices of a PATH token
 
 
 _TOKEN_RE = re.compile(
@@ -64,6 +64,7 @@ _TOKEN_RE = re.compile(
   | (?P<UIDENT>[A-Z][A-Za-z0-9']*)
   | (?P<LIDENT>[a-z][A-Za-z0-9']*)
   | (?P<UNDER>_)
+  | (?P<PATH>\[[-\d,\s]*\])
   | (?P<LPAR>\()
   | (?P<RPAR>\))
   | (?P<LBRACK>\[)
@@ -89,7 +90,18 @@ def tokenize(text: str, line: int = 1) -> list[Token]:
         kind = m.lastgroup or ""
         if kind == "COMMENT":
             break
-        if kind != "WS":
+        if kind == "PATH":
+            body = m.group()[1:-1]
+            try:
+                value = tuple(map(int, body.split(","))) if body.strip() else ()
+            except ValueError:
+                # Not a well-formed path: read it piece by piece, so that the
+                # parser's error points inside it.
+                out.append(Token("LBRACK", "[", line, pos + 1))
+                pos += 1
+                continue
+            out.append(Token(kind, m.group(), line, pos + 1, value))
+        elif kind != "WS":
             out.append(Token(kind, m.group(), line, pos + 1))
         pos = m.end()
     return out
@@ -254,6 +266,9 @@ def render_path(p: Path) -> str:
 
 
 def parse_path_tokens(cur: TokenCursor) -> Path:
+    tok = cur.peek()
+    if tok is not None and tok.kind == "PATH":
+        return cur.next().value  # type: ignore[return-value]
     cur.expect("LBRACK")
     out: list[int] = []
     tok = cur.peek()

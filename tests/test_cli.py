@@ -205,3 +205,20 @@ def test_put_rejection_message_names_link_and_path(tmp_path, capsys):
     ]) == 3
     err = capsys.readouterr().err
     assert "view path" in err and 'Neg "zzz" _' in err
+
+
+def test_too_deep_input_is_a_one_line_error(tmp_path, capsys):
+    n = 2000
+    src = tmp_path / "deep.tree"
+    src.write_text(
+        'Plus "" (' * (n - 1)
+        + 'FromT "" (Lit "" 0)'
+        + "".join(f') (Lit "" {i})' for i in range(1, n))
+        + "\n"
+    )
+    code = run(["get", "-p", _arith(tmp_path), "-r", "Expr", "Arith", "-i", str(src),
+                "-o", str(tmp_path / "v.tree"), "-l", str(tmp_path / "l.links")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: input nests too deeply")
+    assert err.count("\n") == 1

@@ -99,3 +99,31 @@ def test_composite_check_matches_put(mirror_twice):
     assert not mirror_twice.check(t, c, bad)
     with pytest.raises(InvalidLinks):
         mirror_twice.put(t, c, bad)
+
+
+def test_composite_check_explain_is_one_inner_pass(mirror_twice, monkeypatch):
+    from treelens.engine import InvalidLinks, LensHandle
+    from treelens.harness import corrupt_links
+
+    t = parse_tree("Node 1 (Node 2 Tip Tip) Tip")
+    c, ls = mirror_twice.get(t)
+    bad = corrupt_links(ls, 3)
+    with pytest.raises(InvalidLinks) as rejected:
+        mirror_twice.put(t, c, bad)
+    passes = []
+    real = LensHandle.try_put
+
+    def counted(self, *args):
+        passes.append(self)
+        return real(self, *args)
+
+    def forbidden(self, *args):
+        raise AssertionError("check_explain ran put")
+
+    monkeypatch.setattr(LensHandle, "try_put", counted)
+    monkeypatch.setattr(LensHandle, "put", forbidden)
+    f = mirror_twice.check_explain(t, c, bad)
+    assert f is not None and f == rejected.value.failure
+    assert passes == [mirror_twice.second]
+    assert mirror_twice.check_explain(t, c, ls) is None
+    assert passes == [mirror_twice.second] * 2 + [mirror_twice.first]

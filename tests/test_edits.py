@@ -295,3 +295,53 @@ def test_random_scripts_stay_checkable(arith, arith_expr):
         if arith_expr.check(s, st.view, st.links):
             accepted += 1
     assert accepted / total > 0.9
+
+
+def test_type_at_walks_the_schema_along_the_path(books):
+    from treelens.edits import _type_at
+    from treelens.schema import check_tree_type
+    from treelens.trees import PathOutOfRange
+
+    h, book, st, ctx = books
+    typed = check_tree_type(ctx.schema, ctx.view_type, st.view)
+    assert len(typed.types) > 10
+    for p, ty in typed.types.items():
+        assert _type_at(ctx, st.view, p) == ty
+    for p in [(1,), (0, 2), (0, 0, 0, 0), (0, -1)]:  # off the tree, and into a String
+        with pytest.raises(PathOutOfRange):
+            _type_at(ctx, st.view, p)
+
+
+def test_typed_script_checks_the_whole_view_once(books, monkeypatch):
+    from treelens import edits
+    from treelens.trees import tree_size
+
+    h, book, st, ctx = books
+    sizes = []
+    real = edits.check_tree_type
+
+    def counted(sch, ty, t):
+        sizes.append(tree_size(t))
+        return real(sch, ty, t)
+
+    monkeypatch.setattr(edits, "check_tree_type", counted)
+    members = (0, 0, 1)
+    ops = [Insert(members, 0, parse_tree('"Zoe"'))] * 3 + [Delete(members, 1)]
+    out = apply_script(st, ops, ctx)
+    assert out.view != st.view
+    # once for the input view; every other call types a new name or cell
+    assert sizes[0] == tree_size(st.view)
+    assert len(sizes) > 4 and max(sizes[1:]) <= 3
+
+
+def test_typed_script_rejects_an_ill_typed_input_view(books):
+    h, book, st, ctx = books
+    bad = EditState(parse_tree("SocialBook (Cons 5 Nil)"), frozenset())
+    with pytest.raises(EditScriptError) as e:
+        apply_script(bad, [Swap((0, 0), (0, 1))], ctx)
+    assert e.value.step == 0 and isinstance(e.value.cause, IllTypedInput)
+
+
+def test_script_paths_accept_spacing():
+    ops = parse_script("swap [0, 1] [ 1 ]\ndelete [] 0\n")
+    assert ops == [Swap((0, 1), (1,)), Delete((), 0)]

@@ -293,3 +293,218 @@ def test_view_regions_partition_every_program(name, sty, vty):
         for p, sub in tree_paths(v):
             if isinstance(sub, Node):
                 assert cover.get(p, 0) == 1, (name, seed, p)
+
+
+# ---------------------------------------------------------------------------
+# Failure codes and their view paths, pinned.  ``put`` must reject with the
+# same failure that ``check_explain`` reports.
+
+_PINNED_FAILURES = [
+    # (program, relation, source, view, links, code, view path)
+    ("sugar_chain.lens", ("P", "V"), "PZ", "VB", "", "E-sugar-cycle", ()),
+    ("rosetree.lens", ("RTree Int", "List Int"), "RNode 67 Nil", "Nil", "", "E-no-rule", ()),
+    (
+        "rosetree.lens", ("RTree Int", "List Int"), "RNode 60 Nil", "Cons 60 Nil",
+        "(RNode _ Nil @ []) <-> (Cons _ Nil @ [1])",
+        "E-stray-link", (),
+    ),
+    (
+        "arith.lens", ("Term", "Arith"), 'Lit "k" 22', "Num 22",
+        '(Lit "k" _ @ []) <-> (Num _ @ [0])',
+        "E-link-at-leaf", (0,),
+    ),
+    (
+        "natbool.lens", ("BinT Nat", "BinT Bool"), "Tip", "Tip",
+        "(Tip @ [7]) <-> (Tip @ [])",
+        "E-dangling-source", (),
+    ),
+    (
+        "sugar_chain.lens", ("P", "V"), "MkP QZ", "VA",
+        "(MkP _ @ [0]) <-> (_ @ [])\n(QZ @ [0]) <-> (VA @ [])",
+        "E-source-mismatch", (),
+    ),
+    (
+        "natbool.lens", ("BinT Nat", "BinT Bool"), "Tip", "Tip",
+        "(Tip @ []) <-> (ZzBogus @ [])",
+        "E-view-mismatch", (),
+    ),
+    (
+        "addrbook.lens", ("AddrBook", "SocialBook"), "AddrBook Nil", "SocialBook Nil",
+        "(AddrBook _ @ []) <-> (SocialBook _ @ [])\n(Nil @ [0]) <-> (_ @ [0])\n"
+        "(Nil @ [0]) <-> (Nil @ [0])",
+        "E-no-generating-rule", (0,),
+    ),
+    (
+        "sugar_chain.lens", ("P", "V"), "MkP QZ", "VA",
+        "(QZ @ [0]) <-> (VA @ [])",
+        "E-no-conversion", (),
+    ),
+    (
+        "natbool.lens", ("BinT Nat", "BinT Bool"), "Tip", "Tip",
+        "(Tip @ []) <-> (Tip @ [])\n(Tip @ []) <-> (_ @ [0])",
+        "E-overlapping-regions", (),
+    ),
+    (
+        "arith.lens", ("Term", "Arith"),
+        'Minus "m" (FromT "" (Lit "" 0)) (Neg "a neg" (Lit "" 7))', "Sub (Num 0) (Num 7)",
+        '(Minus "m" _ _ @ []) <-> (Sub _ _ @ [])\n'
+        '(Neg "a neg" _ @ [2]) <-> (Sub (Num 0) _ @ [])\n'
+        '(Lit "" _ @ [2,1]) <-> (Num _ @ [1])',
+        "E-overlapping-regions", (),
+    ),
+]
+
+_BOOK_LINKS = (
+    '(AddrBook _ @ []) <-> (SocialBook _ @ [])\n'
+    '(Cons _ _ @ [0]) <-> (Cons _ _ @ [0])\n'
+    '(AddrGroup _ _ @ [0,0]) <-> (SocialGroup _ _ @ [0,0])\n'
+    '(Nil @ [0,1]) <-> (Nil @ [0,1])\n'
+)
+
+# The same codes three levels down an address book: one bad link at [0,0,1].
+_PINNED_FAILURES += [
+    (
+        "addrbook.lens", ("AddrBook", "SocialBook"),
+        'AddrBook (Cons (AddrGroup "b" Nil) Nil)', 'SocialBook (Cons (SocialGroup "b" Nil) Nil)',
+        _BOOK_LINKS + extra, code, path,
+    )
+    for extra, code, path in [
+        ("(Nil @ [0,0,1,7]) <-> (Nil @ [0,0,1])", "E-dangling-source", (0, 0, 1)),
+        ("(Nil @ [0,0,0]) <-> (Nil @ [0,0,1])", "E-source-mismatch", (0, 0, 1)),
+        ("(Nil @ [0,0,1]) <-> (ZzBogus @ [0,0,1])", "E-view-mismatch", (0, 0, 1)),
+        ("(Nil @ [0,0,1]) <-> (_ @ [0,0,1])", "E-no-generating-rule", (0, 0, 1)),
+        ("(Nil @ [0,0,1]) <-> (Nil @ [0,0,1,0])", "E-stray-link", (0, 0, 1)),
+        ("(Nil @ [0,0,1]) <-> (Nil @ [0,0,0,0])", "E-link-at-leaf", (0, 0, 0)),
+        (
+            "(Nil @ [0,0,1]) <-> (Nil @ [0,0,1])\n(Nil @ [0,1]) <-> (Nil @ [0,0,1])",
+            "E-overlapping-regions", (0, 0, 1),
+        ),
+    ]
+]
+
+
+@pytest.mark.parametrize(
+    "name,relation,source,view,links,code,path",
+    _PINNED_FAILURES,
+    ids=[f"{c[5]}@{list(c[6])}-{c[0]}" for c in _PINNED_FAILURES],
+)
+def test_failure_code_and_view_path(name, relation, source, view, links, code, path):
+    from conftest import example_text
+    from treelens import parse_links
+
+    h = lens(load_program(example_text(name), name), *relation)
+    s, v, ls = parse_tree(source), parse_tree(view), parse_links(links + "\n")
+    f = h.check_explain(s, v, ls)
+    assert f is not None and (f.code, f.view_path) == (code, path)
+    with pytest.raises(InvalidLinks) as e:
+        h.put(s, v, ls)
+    assert (e.value.failure.code, e.value.failure.view_path) == (code, path)
+
+
+def test_failure_ill_typed_view(arith_expr, demo_cst):
+    f = arith_expr.check_explain(demo_cst, parse_tree('Lit "x" 1'), frozenset())
+    assert f is not None and (f.code, f.view_path) == ("E-ill-typed-view", ())
+
+
+def test_failure_no_relation(arith):
+    # lens() refuses undeclared pairs; a handle built directly reaches the engine.
+    from treelens.engine import LensHandle
+
+    h = LensHandle(arith, "Expr", "Expr")
+    s = parse_tree('FromT "" (Lit "" 1)')
+    f = h.check_explain(s, s, frozenset())
+    assert f is not None and (f.code, f.view_path) == ("E-no-relation", ())
+
+
+def test_ambiguous_link_is_prevented_by_validation():
+    # E-ambiguous-link needs two rules generating one link; constructors
+    # belong to one type and a relation's source patterns are disjoint, so
+    # validation already rules it out.
+    from treelens import ValidationError
+
+    text = (
+        "data A = WrapB B | WrapC C\ndata B = K Int\ndata C = K Int\ndata V = VK Int\n\n"
+        "A <---> V\n  WrapB b ~ b\n  WrapC c ~ c\n\n"
+        "B <---> V\n  K i ~ VK i\n\nC <---> V\n  K i ~ VK i\n"
+    )
+    with pytest.raises(ValidationError) as e:
+        load_program(text)
+    assert "E-ctor-reuse" in {d.code for d in e.value.diagnostics}
+
+
+# ---------------------------------------------------------------------------
+# Work counters: deterministic, nothing timed.
+
+
+def _left_deep_sum(n: int):
+    """``Plus "" (... (Plus "" (FromT "" (Lit "" 0)) (Lit "" 1)) ...) (Lit "" n-1)``."""
+    return parse_tree(
+        'Plus "" (' * (n - 1)
+        + 'FromT "" (Lit "" 0)'
+        + "".join(f') (Lit "" {i})' for i in range(1, n))
+    )
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [25, 50, 100])
+def test_get_builds_each_link_once(arith_expr, monkeypatch, n):
+    from treelens import engine
+
+    s = _left_deep_sum(n)
+    built = _counting(monkeypatch, engine, "Link")
+    _, ls = arith_expr.get(s)
+    assert len(ls) == 2 * n  # one per Plus, Lit and the FromT
+    assert len(built) == len(ls)
+
+
+def test_put_and_check_visit_linearly_many_nodes(arith_expr, monkeypatch):
+    from treelens import engine
+    from treelens.trees import tree_size
+
+    calls = _counting(monkeypatch, engine, "_sync")
+    counts = {}
+    for n in (25, 50, 100):
+        s = _left_deep_sum(n)
+        v, ls = arith_expr.get(s)
+        for label, links in (("retain", ls), ("rebuild", frozenset())):
+            calls.clear()
+            out = arith_expr.put(s, v, links)
+            assert label == "rebuild" or out == s
+            put_calls = len(calls)
+            calls.clear()
+            assert arith_expr.check(s, v, links)
+            assert len(calls) == put_calls <= 2 * tree_size(v)
+            counts[label, n] = put_calls
+    for label in ("retain", "rebuild"):
+        a, b, c = (counts[label, n] for n in (25, 50, 100))
+        assert c - b == 2 * (b - a)  # exactly linear in n
+
+
+def test_engine_never_calls_divide(arith_expr, demo_cst, monkeypatch):
+    from treelens import engine
+    from treelens.edits import EditState, swap
+
+    def forbidden(*args):
+        raise AssertionError("the engine called its spec helper")
+
+    monkeypatch.setattr(engine, "divide", forbidden)
+    monkeypatch.setattr(engine, "add_v_prefix", forbidden)
+    v, ls = arith_expr.get(demo_cst)
+    assert arith_expr.check(demo_cst, v, ls)
+    assert arith_expr.put(demo_cst, v, ls) == demo_cst
+    st = swap(EditState(v, ls), (0,), (1,))
+    assert arith_expr.check(demo_cst, st.view, st.links)
+    arith_expr.put(demo_cst, st.view, st.links)
+    bad = frozenset(ls | {_link("Lit _ _", (9,), "Num _", (0, 0, 0))})
+    assert arith_expr.check_explain(demo_cst, v, bad) is not None

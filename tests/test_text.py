@@ -133,3 +133,55 @@ def test_random_links_roundtrip(arith, arith_expr, seed):
     text = render_links(ls)
     assert parse_links(text) == ls
     assert render_links(parse_links(text)) == text
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [("[]", ()), ("[ ]", ()), ("[1, 2]", (1, 2)), ("[ 1 ,2 ]", (1, 2)), ("[-1]", (-1,))],
+)
+def test_path_spacing_accepted(text, expected):
+    assert parse_path(text) == expected
+    ls = parse_links(f"(P @ {text}) <-> (Q @ {text})\n")
+    assert [(l.source.path, l.view.path) for l in ls] == [(expected, expected)]
+
+
+def test_long_path_link_roundtrip():
+    from treelens import Link, Region
+
+    deep = (1,) * 1999 + (0,)
+    line = render_link(Link(Region(parse_pattern("P _"), deep), Region(parse_pattern("Q"), deep)))
+    ls = parse_links(line + "\n")
+    assert [(l.source.path, l.view.path) for l in ls] == [(deep, deep)]
+    assert render_links(ls) == line + "\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[1,,2]", "1:4: expected INT, found ','"),
+        ("[1,]", "1:4: expected INT, found ']'"),
+        ("[1", "1:0: expected RBRACK, found ''"),
+        ("[1 2]", "1:4: expected RBRACK, found '2'"),
+        ("[a]", "1:2: expected RBRACK, found 'a'"),
+        ("[1,2]3", "1:6: trailing input '3'"),
+    ],
+)
+def test_malformed_path_errors(text, message):
+    with pytest.raises(LensSyntaxError) as e:
+        parse_path(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("(P @ [1,,2]) <-> (Q @ [0])", "1:9: expected INT, found ','"),
+        ("(P @ [1,]) <-> (Q @ [0])", "1:9: expected INT, found ']'"),
+        ("(P @ [1) <-> (Q @ [0])", "1:8: expected RBRACK, found ')'"),
+        ("(P @ [0]) <-> (Q @ [1,,2])", "1:23: expected INT, found ','"),
+    ],
+)
+def test_malformed_path_in_link_file(line, message):
+    with pytest.raises(LensSyntaxError) as e:
+        parse_links("-- header\n" + line + "\n")
+    assert str(e.value) == message.replace("1:", "2:", 1)
