@@ -33,15 +33,12 @@ from .engine import (
     lens,
 )
 from .frontend import (
-    NoConversion,
     Program,
     ValidatedProgram,
     ValidationError,
-    interchangeable_pairs,
     load_program,
     parse_program,
     render_program,
-    synthesize_inj,
     validate_program,
 )
 from .harness import LawSummary, TrialReport, gen_script, gen_tree, verify_laws
@@ -49,7 +46,6 @@ from .schema import (
     IllTyped,
     NoFiniteDefault,
     Schema,
-    check_pattern_type,
     check_tree_type,
     default_value,
 )
@@ -64,7 +60,6 @@ from .text import (
     render_links,
     render_path,
     render_pattern,
-    render_tree,
     write_tree_file,
 )
 from .trees import (
@@ -74,9 +69,6 @@ from .trees import (
     Node,
     Path,
     Pattern,
-    PInt,
-    PNode,
-    PStr,
     Region,
     StrLeaf,
     Tree,

@@ -16,15 +16,14 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .engine import IllTypedInput
-from .schema import PRIMITIVES, IllTyped, Schema, check_tree_type
+from .schema import IllTyped, Schema, check_tree_type, type_at
 from .text import (
     LensSyntaxError,
     TokenCursor,
     parse_pattern_tokens,
     parse_path_tokens,
-    pattern_to_tree,
     render_path,
-    render_tree,
+    render_pattern,
     tokenize,
 )
 from .trees import (
@@ -33,7 +32,6 @@ from .trees import (
     Node,
     Path,
     Pattern,
-    PNode,
     Region,
     Tree,
     Wildcard,
@@ -109,8 +107,8 @@ def _cut_region(pattern: Pattern, rel: Path) -> bool:
     for i in rel:
         if isinstance(cur, Wildcard):
             return False
-        if isinstance(cur, PNode) and 0 <= i < len(cur.args):
-            cur = cur.args[i]
+        if isinstance(cur, Node) and 0 <= i < len(cur.children):
+            cur = cur.children[i]
         else:
             return False
     return not isinstance(cur, Wildcard)
@@ -126,22 +124,8 @@ def _destroyed(l: Link, p: Path) -> bool:
 
 
 def _type_at(ctx: EditContext | None, view: Tree, p: Path) -> str | None:
-    """Type of the view node at ``p``, read off the schema along the path."""
-    if ctx is None:
-        return None
-    sch = ctx.schema
-    ty = sch.resolve(ctx.view_type)
-    node = view
-    for i in p:
-        if ty in PRIMITIVES or not isinstance(node, Node) or not 0 <= i < len(node.children):
-            raise PathOutOfRange(f"path {list(p)} does not resolve")
-        ctor = sch.constructor(ty, node.ctor)
-        if ctor is None or len(ctor.arg_types) != len(node.children):  # pragma: no cover
-            # apply_script checks its input view and every step keeps it typed
-            raise IllTypedInput(f"view is not a {ty} at a prefix of {list(p)}")
-        ty = sch.resolve(ctor.arg_types[i])
-        node = node.children[i]
-    return ty
+    """Type of the view node at ``p``; apply_script has type-checked the view."""
+    return None if ctx is None else type_at(ctx.schema, ctx.view_type, view, p)
 
 
 def _check_type(ctx: EditContext | None, view: Tree, p: Path, t: Tree) -> None:
@@ -361,9 +345,9 @@ def apply_script(st: EditState, script: Iterable[EditOp], ctx: EditContext | Non
 
 def _parse_paren_tree(cur: TokenCursor) -> Tree:
     cur.expect("LPAR")
-    pat = parse_pattern_tokens(cur, allow_vars=False)
+    t = parse_pattern_tokens(cur, allow_vars=False)
     cur.expect("RPAR")
-    return pattern_to_tree(pat)
+    return t
 
 
 def parse_script(text: str) -> list[EditOp]:
@@ -404,18 +388,18 @@ def render_script(ops: Iterable[EditOp]) -> str:
     lines = []
     for op in ops:
         if isinstance(op, Replace):
-            lines.append(f"replace {render_path(op.path)} ({render_tree(op.tree)})")
+            lines.append(f"replace {render_path(op.path)} ({render_pattern(op.tree)})")
         elif isinstance(op, Copy):
             lines.append(f"copy {render_path(op.frm)} {render_path(op.to)}")
         elif isinstance(op, Move):
             lines.append(
-                f"move {render_path(op.frm)} {render_path(op.to)} ({render_tree(op.filler)})"
+                f"move {render_path(op.frm)} {render_path(op.to)} ({render_pattern(op.filler)})"
             )
         elif isinstance(op, Swap):
             lines.append(f"swap {render_path(op.a)} {render_path(op.b)}")
         elif isinstance(op, Insert):
             lines.append(
-                f"insert {render_path(op.list_path)} {op.index} ({render_tree(op.elem)})"
+                f"insert {render_path(op.list_path)} {op.index} ({render_pattern(op.elem)})"
             )
         elif isinstance(op, Delete):
             lines.append(f"delete {render_path(op.list_path)} {op.index}")

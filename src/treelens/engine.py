@@ -18,7 +18,8 @@ types.
 
 put and check are one traversal (``_sync``) that returns either the new
 source or the first ``CheckFailure``: put raises the failure and check
-reports it, so "put iff check" holds by construction.  The input links are
+reports it, so "put iff check" holds by construction.  Both first type-check
+the view, then the source.  The input links are
 indexed once as a trie over view paths; each step hands the rule's variables
 their sub-tries by walking the rule's view pattern, so a node costs
 O(pattern) however many links there are.  ``get`` appends every link, with
@@ -37,11 +38,9 @@ from .text import render_path, render_pattern
 from .trees import (
     Link,
     LinkSet,
+    Node,
     Path,
     Pattern,
-    PInt,
-    PNode,
-    PStr,
     Region,
     Tree,
     Var,
@@ -126,21 +125,21 @@ def _merge_region(rule_source: Pattern, region: Pattern) -> Pattern | None:
         return rule_source if isinstance(region, Wildcard) else None
     if isinstance(rule_source, Wildcard):
         return region if is_ground(region) else None
-    if isinstance(rule_source, (PInt, PStr)):
+    if not isinstance(rule_source, Node):
         return rule_source if region == rule_source else None
     if not (
-        isinstance(region, PNode)
+        isinstance(region, Node)
         and region.ctor == rule_source.ctor
-        and len(region.args) == len(rule_source.args)
+        and len(region.children) == len(rule_source.children)
     ):
         return None
     merged = []
-    for a, b in zip(rule_source.args, region.args):
+    for a, b in zip(rule_source.children, region.children):
         m = _merge_region(a, b)
         if m is None:
             return None
         merged.append(m)
-    return PNode(rule_source.ctor, tuple(merged))
+    return Node(rule_source.ctor, tuple(merged))
 
 
 def _select_rebuild_rule(rel: Relation, v: Tree) -> Rule | None:
@@ -223,9 +222,9 @@ def _index_links(ls) -> _Index:
 
 
 def _first_link(node: _Index, skip: int) -> Link:
-    """Some link at or below a non-empty index node, ignoring ``skip`` consumed here."""
+    """The least-view-path link at or below a non-empty index node, past ``skip`` here."""
     while skip >= len(node.here):
-        node, skip = next(iter(node.kids.values())), 0
+        node, skip = node.kids[min(node.kids)], 0
     return node.here[skip]
 
 
@@ -234,8 +233,9 @@ def _scope(rule: Rule, node: _Index | None, skip: int):
 
     Walks the index along the rule's view pattern, so the cost is bounded by
     the pattern, not by the number of links.  Returns each variable's index
-    node with the count of its links already consumed, and a link that ends
-    outside every variable (None when there is none).
+    node with the count of its links already consumed, and the link with the
+    least view path that ends outside every variable (None when there is
+    none).  ``None`` stands for the pattern below a leaf or past its arity.
     """
     scoped = dict.fromkeys(rule.variables, (None, 0))
     if node is None:
@@ -246,12 +246,15 @@ def _scope(rule: Rule, node: _Index | None, skip: int):
         if isinstance(pat, Var):
             scoped[pat.name] = (n, k)
             continue
+        if pat is None:
+            return scoped, _first_link(n, 0)
         if k < len(n.here):
             return scoped, n.here[k]
-        for i, kid in n.kids.items():
-            if not (isinstance(pat, PNode) and 0 <= i < len(pat.args)):
-                return scoped, _first_link(kid, 0)
-            stack.append((pat.args[i], kid, 0))
+        # Preorder, least child index first: which link is reported must not
+        # depend on the order the links were indexed in.
+        for i in sorted(n.kids, reverse=True):
+            inside = isinstance(pat, Node) and 0 <= i < len(pat.children)
+            stack.append((pat.children[i] if inside else None, n.kids[i], 0))
     return scoped, None
 
 
@@ -435,36 +438,31 @@ class LensHandle:
 
     def get(self, s: Tree) -> tuple[Tree, LinkSet]:
         """View of ``s`` plus the links relating source and view regions."""
-        self._require_source_type(s)
+        try:
+            check_tree_type(self.program.schema, self.source_type, s)
+        except IllTyped as e:
+            raise IllTypedInput(f"source: {e}") from e
         acc: list[Link] = []
         view = _get(self.program, self.source_type, self.view_type, s, (), (), acc)
         return view, frozenset(acc)
 
     def put(self, s: Tree, v: Tree, ls) -> Tree:
-        """New source retaining every linked region; rejects invalid links."""
-        self._require_view_type(v)
-        out = self._put_or_failure(s, v, ls)
+        """New source retaining every linked region; rejects ill-typed inputs and invalid links."""
+        out = self.try_put(s, v, ls)
         if isinstance(out, CheckFailure):
+            side = out.code.removeprefix("E-ill-typed-")
+            if side != out.code:
+                raise IllTypedInput(f"{side}: {out.message}")
             raise InvalidLinks(out)
         return out
 
     def try_put(self, s: Tree, v: Tree, ls) -> Tree | CheckFailure:
         """put's result, or the failure ``check_explain`` reports, in one pass."""
-        try:
-            check_tree_type(self.program.schema, self.view_type, v)
-        except IllTyped as e:
-            return CheckFailure("E-ill-typed-view", str(e), ())
-        return self._put_or_failure(s, v, ls)
-
-    def check(self, s: Tree, v: Tree, ls) -> bool:
-        return self.check_explain(s, v, ls) is None
-
-    def check_explain(self, s: Tree, v: Tree, ls) -> CheckFailure | None:
-        """None when put would succeed, otherwise the first failure found."""
-        out = self.try_put(s, v, ls)
-        return out if isinstance(out, CheckFailure) else None
-
-    def _put_or_failure(self, s: Tree, v: Tree, ls) -> Tree | CheckFailure:
+        for side, ty, t in (("view", self.view_type, v), ("source", self.source_type, s)):
+            try:
+                check_tree_type(self.program.schema, ty, t)
+            except IllTyped as e:
+                return CheckFailure(f"E-ill-typed-{side}", str(e), ())
         return _sync(
             self.program,
             self.source_type,
@@ -477,17 +475,13 @@ class LensHandle:
             None,
         )
 
-    def _require_view_type(self, v: Tree) -> None:
-        try:
-            check_tree_type(self.program.schema, self.view_type, v)
-        except IllTyped as e:
-            raise IllTypedInput(f"view: {e}") from e
+    def check(self, s: Tree, v: Tree, ls) -> bool:
+        return self.check_explain(s, v, ls) is None
 
-    def _require_source_type(self, s: Tree) -> None:
-        try:
-            check_tree_type(self.program.schema, self.source_type, s)
-        except IllTyped as e:
-            raise IllTypedInput(f"source: {e}") from e
+    def check_explain(self, s: Tree, v: Tree, ls) -> CheckFailure | None:
+        """None when put would succeed, otherwise the first failure found."""
+        out = self.try_put(s, v, ls)
+        return out if isinstance(out, CheckFailure) else None
 
 
 def lens(program: ValidatedProgram, source_type: str, view_type: str) -> LensHandle:

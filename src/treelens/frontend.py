@@ -26,15 +26,14 @@ from .schema import (
     NoFiniteDefault,
     PRIMITIVES,
     Schema,
-    TypedPattern,
-    check_pattern_type,
+    check_tree_type,
     fill_wildcards_default,
 )
 from .text import LensSyntaxError, Token, TokenCursor, parse_pattern_tokens, render_pattern, tokenize
 from .trees import (
+    Node,
     Path,
     Pattern,
-    PNode,
     Var,
     Wildcard,
     WILDCARD,
@@ -121,10 +120,6 @@ class ValidationError(Exception):
         self.diagnostics = diagnostics
         self.source_name = source_name
         super().__init__("\n".join(d.format(source_name) for d in diagnostics))
-
-
-class NoConversion(Exception):
-    """No wrapper chain exists between two interchangeable types."""
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +426,6 @@ class ValidatedProgram:
     by_pair: dict[tuple[str, str], Relation]
     by_view: dict[str, tuple[Relation, ...]]
     inj_table: dict[tuple[str, str, str], tuple[InjStep, ...]]
-    interchangeable: frozenset
     warnings: list[Diagnostic]
     source_name: str = "<program>"
 
@@ -469,8 +463,8 @@ def _covers(sch: Schema, rows: list[tuple[Pattern, ...]], tys: tuple[str, ...]) 
         sub = []
         for row in rows:
             h = row[0]
-            if isinstance(h, PNode) and h.ctor == c.name and len(h.args) == arity:
-                sub.append(tuple(h.args) + row[1:])
+            if isinstance(h, Node) and h.ctor == c.name and len(h.children) == arity:
+                sub.append(h.children + row[1:])
             elif _wildish(h):
                 sub.append((WILDCARD,) * arity + row[1:])
         subtys = tuple(sch.resolve(a) for a in c.arg_types) + tys[1:]
@@ -487,11 +481,11 @@ def patterns_overlap(p: Pattern, q: Pattern) -> bool:
     """True iff some tree matches both patterns."""
     if _wildish(p) or _wildish(q):
         return True
-    if isinstance(p, PNode) and isinstance(q, PNode):
+    if isinstance(p, Node) and isinstance(q, Node):
         return (
             p.ctor == q.ctor
-            and len(p.args) == len(q.args)
-            and all(patterns_overlap(a, b) for a, b in zip(p.args, q.args))
+            and len(p.children) == len(q.children)
+            and all(patterns_overlap(a, b) for a, b in zip(p.children, q.children))
         )
     return p == q
 
@@ -509,9 +503,11 @@ def _compile_rule(
     index: int,
     diags: list[Diagnostic],
 ) -> Rule | None:
+    src_holes: dict[Path, str] = {}
+    view_holes: dict[Path, str] = {}
     try:
-        tsp: TypedPattern = check_pattern_type(sch, rel.source_type, raw.source)
-        tvp: TypedPattern = check_pattern_type(sch, rel.view_type, raw.view)
+        check_tree_type(sch, rel.source_type, raw.source, src_holes)
+        check_tree_type(sch, rel.view_type, raw.view, view_holes)
     except IllTyped as e:
         diags.append(Diagnostic(raw.line, 1, "E-ill-typed", str(e)))
         return None
@@ -533,8 +529,8 @@ def _compile_rule(
     def has_wildcard(p: Pattern) -> bool:
         if isinstance(p, Wildcard):
             return True
-        if isinstance(p, PNode):
-            return any(has_wildcard(a) for a in p.args)
+        if isinstance(p, Node):
+            return any(has_wildcard(a) for a in p.children)
         return False
 
     if has_wildcard(raw.view):
@@ -560,10 +556,10 @@ def _compile_rule(
     variables = vars_of(raw.source)
     var_src_path = {x: var_path(raw.source, x) for x in variables}
     var_view_path = {x: var_path(raw.view, x) for x in variables}
-    var_src_type = {x: tsp.type_at(var_src_path[x]) for x in variables}
-    var_view_type = {x: tvp.type_at(var_view_path[x]) for x in variables}
+    var_src_type = {x: src_holes[var_src_path[x]] for x in variables}
+    var_view_type = {x: view_holes[var_view_path[x]] for x in variables}
     try:
-        source_defaulted = fill_wildcards_default(tsp, sch)
+        source_defaulted = fill_wildcards_default(sch, raw.source, src_holes)
     except NoFiniteDefault as e:
         diags.append(
             Diagnostic(raw.line, 1, "E-no-default", f"no finite default value for type {e}")
@@ -602,14 +598,12 @@ def reachable_types(sch: Schema, ty: str) -> frozenset:
     return frozenset(seen)
 
 
-def interchangeable_pairs(vp_or_program) -> frozenset:
-    """All quadruples (S1, S2, S, V') of interchangeable source types."""
-    sch = vp_or_program.schema
-    pairs = [(r.source_type, r.view_type) for r in vp_or_program.relations]
-    return _interchangeable(sch, pairs)
+def _interchangeable(sch: Schema, pairs: list[tuple[str, str]]) -> set[tuple[str, str, str]]:
+    """Triples (S1, S2, V') of source types that one source may hold side by side.
 
-
-def _interchangeable(sch: Schema, pairs: list[tuple[str, str]]) -> frozenset:
+    S1 and S2 both relate to V', and some relation S <---> V has S1 and S2
+    below S and V' below V, so a link may carry an S1 region into an S2 slot.
+    """
     by_view: dict[str, list[str]] = {}
     for sty, vty in pairs:
         by_view.setdefault(vty, []).append(sty)
@@ -620,16 +614,16 @@ def _interchangeable(sch: Schema, pairs: list[tuple[str, str]]) -> frozenset:
             reach[ty] = reachable_types(sch, ty)
         return reach[ty]
 
-    quads = set()
+    out = set()
     for vty, stys in by_view.items():
         for s1 in stys:
             for s2 in stys:
-                if s1 == s2:
-                    continue
-                for s, v in pairs:
-                    if s1 in reach_of(s) and s2 in reach_of(s) and vty in reach_of(v):
-                        quads.add((s1, s2, s, vty))
-    return frozenset(quads)
+                if s1 != s2 and any(
+                    s1 in reach_of(s) and s2 in reach_of(s) and vty in reach_of(v)
+                    for s, v in pairs
+                ):
+                    out.add((s1, s2, vty))
+    return out
 
 
 def _synthesize_steps(
@@ -657,16 +651,6 @@ def _synthesize_steps(
                 visited.add(nxt)
                 queue.append((nxt, chain))
     return None
-
-
-def synthesize_inj(vp: ValidatedProgram, frm: str, to: str, view: str) -> tuple[InjStep, ...]:
-    """Conversion steps from ``frm`` to ``to`` at view type ``view``."""
-    if frm == to:
-        return ()
-    steps = vp.inj_table.get((frm, to, view))
-    if steps is None:
-        raise NoConversion(f"no conversion from {frm} to {to} at view {view}")
-    return steps
 
 
 def validate_program(program: Program) -> ValidatedProgram:
@@ -769,10 +753,8 @@ def validate_program(program: Program) -> ValidatedProgram:
     for r in relations:
         by_view.setdefault(r.view_type, []).append(r)
 
-    quads = _interchangeable(sch, pair_list)
     inj_table: dict[tuple[str, str, str], tuple[InjStep, ...]] = {}
-    needed = {(s1, s2, vty) for (s1, s2, _s, vty) in quads}
-    for s1, s2, vty in sorted(needed):
+    for s1, s2, vty in sorted(_interchangeable(sch, pair_list)):
         steps = _synthesize_steps(by_pair, s1, s2, vty)
         if steps is not None:
             inj_table[(s1, s2, vty)] = steps
@@ -798,7 +780,6 @@ def validate_program(program: Program) -> ValidatedProgram:
         by_pair=by_pair,
         by_view={k: tuple(v) for k, v in by_view.items()},
         inj_table=inj_table,
-        interchangeable=quads,
         warnings=warnings,
         source_name=program.source_name,
     )

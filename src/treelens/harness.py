@@ -26,19 +26,21 @@ from .edits import (
     EditState,
     Insert,
     Move,
+    NotAList,
     Replace,
     Swap,
+    _spine,
     apply_script,
     render_script,
 )
 from .engine import InvalidLinks
-from .schema import Schema, check_tree_type, default_value
-from .text import render_links, render_tree
+from .schema import Schema, default_value, type_at
+from .text import render_links, render_pattern
 from .trees import (
     IntLeaf,
     Link,
     Node,
-    PNode,
+    Path,
     Region,
     StrLeaf,
     Tree,
@@ -96,15 +98,17 @@ def _list_shapes(sch: Schema) -> dict[str, tuple[str, str]]:
     return out
 
 
-def _spine_length(view: Tree, path) -> int:
-    from .trees import sel
-
-    node = sel(view, path)
-    n = 0
-    while isinstance(node, Node) and len(node.children) == 2:
-        n += 1
-        node = node.children[1]
-    return n
+def _typed_positions(sch: Schema, ty: str, view: Tree) -> list[tuple[Path, str]]:
+    """Every (path, type) of the well-typed ``view``, sorted by path."""
+    out = []
+    stack: list[tuple[Path, Tree, str]] = [((), view, sch.resolve(ty))]
+    while stack:
+        p, node, node_ty = stack.pop()
+        out.append((p, node_ty))
+        if isinstance(node, Node):
+            for i, c in enumerate(node.children):
+                stack.append((p + (i,), c, type_at(sch, node_ty, node, (i,))))
+    return sorted(out)
 
 
 def gen_script(
@@ -117,8 +121,7 @@ def gen_script(
     ops: list[EditOp] = []
     state = EditState(view, frozenset())
     for _ in range(length):
-        typed = check_tree_type(sch, view_type, state.view)
-        positions = sorted(typed.types.items())
+        positions = _typed_positions(sch, view_type, state.view)
         by_type: dict[str, list] = {}
         for p, ty in positions:
             by_type.setdefault(ty, []).append(p)
@@ -132,12 +135,16 @@ def gen_script(
         ]
         if pairs:
             kinds += ["copy", "move", "swap"]
-        spines = [
-            (p, ty) for p, ty in positions if ty in lists and _is_spine(state.view, p)
-        ]
+        spines = []  # (path, type, length) of every list spine
+        for p, ty in positions:
+            if ty in lists:
+                try:
+                    spines.append((p, ty, _spine(state.view, p)[2]))
+                except NotAList:
+                    pass
         if spines:
             kinds.append("insert")
-            if any(_spine_length(state.view, p) > 0 for p, _ in spines):
+            if any(n > 0 for _, _, n in spines):
                 kinds.append("delete")
         kind = rng.choice(kinds)
         op: EditOp
@@ -151,35 +158,18 @@ def gen_script(
             elif kind == "swap":
                 op = Swap(frm, to)
             else:
-                op = Move(frm, to, _gen_budget(sch, typed.types[frm], rng))
+                op = Move(frm, to, _gen_budget(sch, dict(positions)[frm], rng))
         elif kind == "insert":
-            p, ty = spines[rng.randrange(len(spines))]
-            n = _spine_length(state.view, p)
+            p, ty, n = spines[rng.randrange(len(spines))]
             _cons, elem_ty = lists[ty]
             op = Insert(p, rng.randint(0, n), _gen_budget(sch, elem_ty, rng))
         else:
-            candidates = [p for p, _ in spines if _spine_length(state.view, p) > 0]
-            p = candidates[rng.randrange(len(candidates))]
-            op = Delete(p, rng.randrange(_spine_length(state.view, p)))
+            candidates = [(p, n) for p, _, n in spines if n > 0]
+            p, n = candidates[rng.randrange(len(candidates))]
+            op = Delete(p, rng.randrange(n))
         state = apply_script(state, [op], ctx)
         ops.append(op)
     return ops
-
-
-def _is_spine(view: Tree, path) -> bool:
-    from .trees import sel
-
-    node = sel(view, path)
-    cons = None
-    while True:
-        if not isinstance(node, Node):
-            return False
-        if len(node.children) == 0:
-            return True
-        if len(node.children) != 2 or (cons is not None and node.ctor != cons):
-            return False
-        cons = node.ctor
-        node = node.children[1]
 
 
 def _gen_budget(sch: Schema, ty: str, rng: random.Random) -> Tree:
@@ -193,10 +183,10 @@ def corrupt_links(ls, seed: int):
     """Replace one link's view pattern with an impossible region."""
     ordered = canonical_links(ls)
     if not ordered:
-        return frozenset({Link(Region(PNode("ZzBogus"), ()), Region(PNode("ZzBogus"), ()))})
+        return frozenset({Link(Region(Node("ZzBogus"), ()), Region(Node("ZzBogus"), ()))})
     rng = random.Random(seed)
     victim = ordered[rng.randrange(len(ordered))]
-    bad = Link(victim.source, Region(PNode("ZzBogus"), victim.view.path))
+    bad = Link(victim.source, Region(Node("ZzBogus"), victim.view.path))
     return frozenset(l for l in ls if l != victim) | {bad}
 
 
@@ -281,11 +271,11 @@ def _minimized(lens, s: Tree, v, ls, ops, ctx) -> dict:
             break
         if not _edit_laws_hold(lens, s, st):
             return {
-                "source": render_tree(s),
+                "source": render_pattern(s),
                 "script": render_script(prefix),
                 "links": render_links(st.links),
             }
-    return {"source": render_tree(s), "script": render_script(ops), "links": ""}
+    return {"source": render_pattern(s), "script": render_script(ops), "links": ""}
 
 
 def _edit_laws_hold(lens, s: Tree, st: EditState) -> bool:
@@ -370,6 +360,6 @@ def verify_laws(
             summary.record(law, ok)
         if report.failed_laws():
             if report.counterexample is None:
-                report.counterexample = {"source": render_tree(s), "script": "", "links": ""}
+                report.counterexample = {"source": render_pattern(s), "script": "", "links": ""}
             summary.failures.append(report)
     return summary

@@ -5,6 +5,12 @@ primitive types ``Int`` and ``String``.  Generic declarations are
 monomorphized by the frontend before they reach a ``Schema``; here every type
 name is ground (e.g. ``List Person``).  Declared synonyms resolve to their
 target before any lookup.
+
+One iterative walk, ``check_tree_type``, types every term.  Inputs (trees
+handed to get, put, check and typed edits) and rule patterns differ only in
+their holes: an input may have none, while a rule pattern's variables and
+wildcards take the type their position demands.  ``type_at`` reads one
+position's type off the schema along a path.
 """
 
 from __future__ import annotations
@@ -15,10 +21,8 @@ from .trees import (
     IntLeaf,
     Node,
     Path,
+    PathOutOfRange,
     Pattern,
-    PInt,
-    PNode,
-    PStr,
     StrLeaf,
     Tree,
     Var,
@@ -43,7 +47,7 @@ class NoFiniteDefault(SchemaError):
 
 
 class IllTyped(SchemaError):
-    """First position where a tree or pattern disagrees with the schema."""
+    """First position where a term disagrees with the schema."""
 
     def __init__(self, path: Path, expected: str, found: str):
         super().__init__(f"at {list(path)}: expected {expected}, found {found}")
@@ -66,6 +70,8 @@ class Schema:
     synonyms: dict[str, str] = field(default_factory=dict)
 
     def resolve(self, name: str) -> str:
+        if name not in self.synonyms:
+            return name
         seen = set()
         while name in self.synonyms:
             if name in seen:
@@ -119,106 +125,86 @@ class Schema:
         return sizes
 
 
-@dataclass
-class TypedTree:
-    """A tree together with its type annotation at every position."""
-
-    tree: Tree
-    root_type: str
-    types: dict[Path, str]
-
-    def type_at(self, path: Path) -> str:
-        return self.types[path]
-
-
-@dataclass
-class TypedPattern:
-    """A pattern together with its type annotation at every position."""
-
-    pattern: Pattern
-    root_type: str
-    types: dict[Path, str]
-
-    def type_at(self, path: Path) -> str:
-        return self.types[path]
-
-
-def _found_name(sch: Schema, t: Tree | Pattern) -> str:
-    if isinstance(t, (IntLeaf, PInt)):
+def _found_name(sch: Schema, t: Pattern) -> str:
+    if isinstance(t, IntLeaf):
         return INT
-    if isinstance(t, (StrLeaf, PStr)):
+    if isinstance(t, StrLeaf):
         return STRING
-    ctor = t.ctor  # type: ignore[union-attr]
-    owner = sch.owner_of(ctor)
-    return owner if owner is not None else f"constructor {ctor}"
+    if isinstance(t, Wildcard):
+        return "wildcard _"
+    if isinstance(t, Var):
+        return f"variable {t.name}"
+    owner = sch.owner_of(t.ctor)
+    return owner if owner is not None else f"constructor {t.ctor}"
 
 
-def check_tree_type(sch: Schema, ty: str, t: Tree) -> TypedTree:
-    """Annotate ``t`` against ``ty`` or fail with the first offending path."""
-    root = sch.resolve(ty)
-    types: dict[Path, str] = {}
+def _path(at) -> Path:
+    """The path of a chain of ``(parent, index)`` pairs."""
+    out: list[int] = []
+    while at is not None:
+        at, i = at
+        out.append(i)
+    return tuple(reversed(out))
 
-    def walk(expected: str, u: Tree, path: Path) -> None:
-        types[path] = expected
+
+def check_tree_type(
+    sch: Schema, ty: str, t: Pattern, holes: dict[Path, str] | None = None
+) -> None:
+    """Check ``t`` against ``ty``; raise ``IllTyped`` at the first bad path in preorder.
+
+    Inputs pass ``holes=None``: they must be trees, so a variable or wildcard
+    is ill-typed.  Rule patterns pass a dict: each hole takes the type its
+    position demands, recorded under the hole's path.  The walk keeps an
+    explicit stack, and builds a node's path only to report it.
+    """
+    stack = [(sch.resolve(ty), t, None)]
+    while stack:
+        expected, u, at = stack.pop()
+        if isinstance(u, (Wildcard, Var)):
+            if holes is None:
+                raise IllTyped(_path(at), expected, _found_name(sch, u))
+            holes[_path(at)] = expected
+            continue
         if expected == INT:
             if not isinstance(u, IntLeaf):
-                raise IllTyped(path, expected, _found_name(sch, u))
-            return
+                raise IllTyped(_path(at), expected, _found_name(sch, u))
+            continue
         if expected == STRING:
             if not isinstance(u, StrLeaf):
-                raise IllTyped(path, expected, _found_name(sch, u))
-            return
-        if expected not in sch.types:
+                raise IllTyped(_path(at), expected, _found_name(sch, u))
+            continue
+        ctors = sch.types.get(expected)
+        if ctors is None:
             raise UnknownType(expected)
         if not isinstance(u, Node):
-            raise IllTyped(path, expected, _found_name(sch, u))
-        ctor = sch.constructor(expected, u.ctor)
-        if ctor is None:
-            raise IllTyped(path, expected, _found_name(sch, u))
+            raise IllTyped(_path(at), expected, _found_name(sch, u))
+        for ctor in ctors:
+            if ctor.name == u.ctor:
+                break
+        else:
+            raise IllTyped(_path(at), expected, _found_name(sch, u))
         if len(ctor.arg_types) != len(u.children):
             raise IllTyped(
-                path, expected, f"{u.ctor} applied to {len(u.children)} argument(s)"
+                _path(at), expected, f"{u.ctor} applied to {len(u.children)} argument(s)"
             )
-        for i, (a, c) in enumerate(zip(ctor.arg_types, u.children)):
-            walk(sch.resolve(a), c, path + (i,))
-
-    walk(root, t, ())
-    return TypedTree(t, root, types)
+        for i in range(len(u.children) - 1, -1, -1):
+            stack.append((sch.resolve(ctor.arg_types[i]), u.children[i], (at, i)))
 
 
-def check_pattern_type(sch: Schema, ty: str, p: Pattern) -> TypedPattern:
-    """Annotate ``p`` against ``ty``; wildcards and variables take the demanded type."""
-    root = sch.resolve(ty)
-    types: dict[Path, str] = {}
-
-    def walk(expected: str, q: Pattern, path: Path) -> None:
-        types[path] = expected
-        if isinstance(q, (Wildcard, Var)):
-            return
-        if expected == INT:
-            if not isinstance(q, PInt):
-                raise IllTyped(path, expected, _found_name(sch, q))
-            return
-        if expected == STRING:
-            if not isinstance(q, PStr):
-                raise IllTyped(path, expected, _found_name(sch, q))
-            return
-        if expected not in sch.types:
-            raise UnknownType(expected)
-        if not isinstance(q, PNode):
-            raise IllTyped(path, expected, _found_name(sch, q))
-        ctor = sch.constructor(expected, q.ctor)
-        if ctor is None:
-            raise IllTyped(path, expected, _found_name(sch, q))
-        if len(ctor.arg_types) != len(q.args):
-            raise IllTyped(
-                path, expected, f"{q.ctor} applied to {len(q.args)} argument(s)"
-            )
-        for i, (a, c) in enumerate(zip(ctor.arg_types, q.args)):
-            walk(sch.resolve(a), c, path + (i,))
-
-    walk(root, p, ())
-    return TypedPattern(p, root, types)
+def type_at(sch: Schema, ty: str, t: Tree, p: Path) -> str:
+    """Type of the node at ``p`` in a well-typed ``t`` of type ``ty``, in O(len(p))."""
+    ty = sch.resolve(ty)
+    node = t
+    for depth, i in enumerate(p):
+        if ty in PRIMITIVES or not isinstance(node, Node) or not 0 <= i < len(node.children):
+            raise PathOutOfRange(f"path {list(p)} does not resolve")
+        ctor = sch.constructor(ty, node.ctor)
+        if ctor is None or len(ctor.arg_types) != len(node.children):  # pragma: no cover
+            # callers type-check ``t`` first
+            raise IllTyped(p[:depth], ty, _found_name(sch, node))
+        ty = sch.resolve(ctor.arg_types[i])
+        node = node.children[i]
+    return ty
 
 
 def default_value(sch: Schema, ty: str) -> Tree:
@@ -254,17 +240,14 @@ def _build_default(sch: Schema, name: str, sizes: dict[str, int]) -> Tree:
     )
 
 
-def fill_wildcards_default(tp: TypedPattern, sch: Schema) -> Pattern:
-    """Replace every wildcard of an annotated pattern by its type's default."""
-    from .trees import tree_to_pattern
+def fill_wildcards_default(sch: Schema, p: Pattern, holes: dict[Path, str]) -> Pattern:
+    """Replace every wildcard of ``p`` by the default of its type in ``holes``."""
 
     def walk(q: Pattern, path: Path) -> Pattern:
         if isinstance(q, Wildcard):
-            return tree_to_pattern(default_value(sch, tp.type_at(path)))
-        if isinstance(q, PNode):
-            return PNode(
-                q.ctor, tuple(walk(a, path + (i,)) for i, a in enumerate(q.args))
-            )
+            return default_value(sch, holes[path])
+        if isinstance(q, Node):
+            return Node(q.ctor, tuple(walk(a, path + (i,)) for i, a in enumerate(q.children)))
         return q
 
-    return walk(tp.pattern, ())
+    return walk(p, ())

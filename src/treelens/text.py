@@ -1,11 +1,11 @@
 """Textual grammar shared by all file formats.
 
-Trees and patterns print as ``Ctor arg1 .. argN`` with parentheses around
-nested applications, text leaves as double-quoted strings with ``\\"`` and
-``\\\\`` escapes, integer leaves as optionally-signed decimals, and ``_`` for
-wildcards.  Paths print as ``[i,j,...]`` and links as
-``(<pattern> @ [path]) <-> (<pattern> @ [path])``, one per line in canonical
-order.
+Terms print as ``Ctor arg1 .. argN`` with parentheses around nested
+applications, text leaves as double-quoted strings with ``\\"`` and ``\\\\``
+escapes, integer leaves as optionally-signed decimals, and ``_`` for
+wildcards; a tree is a term without ``_`` or variables.  Paths print as
+``[i,j,...]`` and links as ``(<pattern> @ [path]) <-> (<pattern> @ [path])``,
+one per line in canonical order.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from .trees import (
     Node,
     Path,
     Pattern,
-    PInt,
-    PNode,
-    PStr,
     Region,
     StrLeaf,
     Tree,
@@ -177,16 +174,16 @@ def parse_pattern_tokens(cur: TokenCursor, allow_vars: bool, top: bool = True) -
             if nxt is None or nxt.kind in ("RPAR", "TILDE", "AT", "RBRACK", "ARROW"):
                 break
             args.append(parse_pattern_tokens(cur, allow_vars, top=False))
-        return PNode(tok.text, tuple(args))
+        return Node(tok.text, tuple(args))
     if tok.kind == "UIDENT":
         cur.next()
-        return PNode(tok.text, ())
+        return Node(tok.text, ())
     if tok.kind == "INT":
         cur.next()
-        return PInt(int(tok.text))
+        return IntLeaf(int(tok.text))
     if tok.kind == "STR":
         cur.next()
-        return PStr(unescape_string(tok.text, tok.line, tok.col))
+        return StrLeaf(unescape_string(tok.text, tok.line, tok.col))
     if tok.kind == "UNDER":
         if not allow_vars:
             raise LensSyntaxError("wildcard not allowed in a tree", tok.line, tok.col)
@@ -217,48 +214,23 @@ def parse_pattern(text: str) -> Pattern:
 
 
 def parse_tree(text: str) -> Tree:
-    return pattern_to_tree(_pattern_from_text(text, allow_vars=False))
-
-
-def pattern_to_tree(p: Pattern) -> Tree:
-    if isinstance(p, PInt):
-        return IntLeaf(p.value)
-    if isinstance(p, PStr):
-        return StrLeaf(p.value)
-    if isinstance(p, PNode):
-        return Node(p.ctor, tuple(pattern_to_tree(a) for a in p.args))
-    raise LensSyntaxError("tree must be ground")
+    return _pattern_from_text(text, allow_vars=False)
 
 
 def render_pattern(p: Pattern, parenthesize: bool = False) -> str:
+    """Text of a term; a tree renders exactly as the ground pattern it is."""
     if isinstance(p, Wildcard):
         return "_"
     if isinstance(p, Var):
         return p.name
-    if isinstance(p, PInt):
+    if isinstance(p, IntLeaf):
         return str(p.value)
-    if isinstance(p, PStr):
+    if isinstance(p, StrLeaf):
         return escape_string(p.value)
-    if not p.args:
+    if not p.children:
         return p.ctor
-    body = p.ctor + " " + " ".join(render_pattern(a, parenthesize=True) for a in p.args)
+    body = p.ctor + " " + " ".join(render_pattern(a, parenthesize=True) for a in p.children)
     return f"({body})" if parenthesize else body
-
-
-def render_tree(t: Tree) -> str:
-    if isinstance(t, IntLeaf):
-        return str(t.value)
-    if isinstance(t, StrLeaf):
-        return escape_string(t.value)
-    if not t.children:
-        return t.ctor
-    return t.ctor + " " + " ".join(_render_tree_arg(c) for c in t.children)
-
-
-def _render_tree_arg(t: Tree) -> str:
-    if isinstance(t, Node) and t.children:
-        return f"({render_tree(t)})"
-    return render_tree(t)
 
 
 def render_path(p: Path) -> str:
@@ -343,10 +315,10 @@ def read_tree_file(text: str) -> Tree:
         raise LensSyntaxError("tree file must contain exactly one term", 1, 1)
     no, toks = lines[0]
     cur = TokenCursor(toks, no)
-    p = parse_pattern_tokens(cur, allow_vars=False)
+    t = parse_pattern_tokens(cur, allow_vars=False)
     cur.require_end()
-    return pattern_to_tree(p)
+    return t
 
 
 def write_tree_file(t: Tree) -> str:
-    return render_tree(t) + "\n"
+    return render_pattern(t) + "\n"

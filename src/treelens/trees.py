@@ -1,16 +1,19 @@
-"""Universal trees, patterns, paths, regions, and link relations.
+"""Universal terms, paths, regions, and link relations.
 
-Every value the rest of the toolkit manipulates bottoms out here: trees are
-finitely branching constructor applications over integer and text leaves,
-patterns add variables and a wildcard, and links are finite relations between
-(pattern, path) regions of two trees.  All values are immutable and freely
-shareable.
+Every value the rest of the toolkit manipulates bottoms out here.  There is
+one term type: ``Node`` applies a constructor to an ordered tuple of
+children over integer and text leaves (``IntLeaf``, ``StrLeaf``), and a
+pattern may also hold variables (``Var``) and the wildcard.  A tree is a
+pattern without holes, so a region's pattern and the tree it is cut from are
+built, compared and rendered the same way.  Links are finite relations
+between (pattern, path) regions of two trees.  All values are immutable and
+freely shareable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 
 class TreeError(Exception):
@@ -45,7 +48,7 @@ class Node:
     """Constructor node with an ordered tuple of children."""
 
     ctor: str
-    children: tuple["Tree", ...] = ()
+    children: tuple["Pattern", ...] = ()
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,6 @@ class StrLeaf:
     value: str
 
 
-Tree = Union[Node, IntLeaf, StrLeaf]
-
-
 @dataclass(frozen=True)
 class Wildcard:
     """The don't-care pattern; marks excluded subtrees in a region."""
@@ -71,23 +71,8 @@ class Var:
     name: str
 
 
-@dataclass(frozen=True)
-class PNode:
-    ctor: str
-    args: tuple["Pattern", ...] = ()
-
-
-@dataclass(frozen=True)
-class PInt:
-    value: int
-
-
-@dataclass(frozen=True)
-class PStr:
-    value: str
-
-
-Pattern = Union[Wildcard, Var, PNode, PInt, PStr]
+Tree = Union[Node, IntLeaf, StrLeaf]  # and no Var or Wildcard anywhere below
+Pattern = Union[Node, IntLeaf, StrLeaf, Var, Wildcard]
 
 WILDCARD = Wildcard()
 
@@ -125,18 +110,14 @@ def sel(t: Tree, p: Path) -> Tree:
 
 def is_match(p: Pattern, t: Tree) -> bool:
     """True iff ``t`` agrees with ``p`` everywhere outside wildcards/variables."""
-    if isinstance(p, (Wildcard, Var)):
-        return True
-    if isinstance(p, PInt):
-        return isinstance(t, IntLeaf) and t.value == p.value
-    if isinstance(p, PStr):
-        return isinstance(t, StrLeaf) and t.value == p.value
-    return (
-        isinstance(t, Node)
-        and t.ctor == p.ctor
-        and len(t.children) == len(p.args)
-        and all(is_match(q, c) for q, c in zip(p.args, t.children))
-    )
+    if not isinstance(p, Node):
+        return isinstance(p, (Wildcard, Var)) or p == t
+    if not (isinstance(t, Node) and t.ctor == p.ctor and len(t.children) == len(p.children)):
+        return False
+    for q, c in zip(p.children, t.children):
+        if not is_match(q, c):
+            return False
+    return True
 
 
 def vars_of(p: Pattern) -> tuple[str, ...]:
@@ -146,8 +127,8 @@ def vars_of(p: Pattern) -> tuple[str, ...]:
     def walk(q: Pattern) -> None:
         if isinstance(q, Var):
             out.append(q.name)
-        elif isinstance(q, PNode):
-            for a in q.args:
+        elif isinstance(q, Node):
+            for a in q.children:
                 walk(a)
 
     walk(p)
@@ -163,16 +144,16 @@ def decompose(p: Pattern, t: Tree) -> dict[str, Tree]:
             out[q.name] = u
         elif isinstance(q, Wildcard):
             pass
-        elif isinstance(q, PInt):
-            if not (isinstance(u, IntLeaf) and u.value == q.value):
+        elif isinstance(q, IntLeaf):
+            if q != u:
                 raise MatchFailure(f"expected integer {q.value}")
-        elif isinstance(q, PStr):
-            if not (isinstance(u, StrLeaf) and u.value == q.value):
+        elif isinstance(q, StrLeaf):
+            if q != u:
                 raise MatchFailure(f"expected string {q.value!r}")
         else:
-            if not (isinstance(u, Node) and u.ctor == q.ctor and len(u.children) == len(q.args)):
+            if not (isinstance(u, Node) and u.ctor == q.ctor and len(u.children) == len(q.children)):
                 raise MatchFailure(f"tree does not match constructor {q.ctor}")
-            for a, c in zip(q.args, u.children):
+            for a, c in zip(q.children, u.children):
                 walk(a, c)
 
     walk(p, t)
@@ -187,43 +168,32 @@ def reconstruct(p: Pattern, b: Mapping[str, Tree]) -> Tree:
         if p.name not in b:
             raise UnboundVariable(p.name)
         return b[p.name]
-    if isinstance(p, PInt):
-        return IntLeaf(p.value)
-    if isinstance(p, PStr):
-        return StrLeaf(p.value)
-    return Node(p.ctor, tuple(reconstruct(a, b) for a in p.args))
-
-
-def tree_to_pattern(t: Tree) -> Pattern:
-    """The evident ground pattern matching exactly ``t``."""
-    if isinstance(t, IntLeaf):
-        return PInt(t.value)
-    if isinstance(t, StrLeaf):
-        return PStr(t.value)
-    return PNode(t.ctor, tuple(tree_to_pattern(c) for c in t.children))
+    if isinstance(p, Node):
+        return Node(p.ctor, tuple(reconstruct(a, b) for a in p.children))
+    return p
 
 
 def fill_wildcards(p: Pattern, t: Tree) -> Pattern:
     """Replace the wildcards of ``p`` with the matching subtrees of ``t``."""
     if isinstance(p, Wildcard):
-        return tree_to_pattern(t)
+        return t
     if isinstance(p, Var):
         return p
-    if isinstance(p, (PInt, PStr)):
-        if not is_match(p, t):
-            raise MatchFailure("literal pattern does not match tree")
-        return p
-    if not (isinstance(t, Node) and t.ctor == p.ctor and len(t.children) == len(p.args)):
-        raise MatchFailure(f"tree does not match constructor {p.ctor}")
-    return PNode(p.ctor, tuple(fill_wildcards(a, c) for a, c in zip(p.args, t.children)))
+    if isinstance(p, Node):
+        if not (isinstance(t, Node) and t.ctor == p.ctor and len(t.children) == len(p.children)):
+            raise MatchFailure(f"tree does not match constructor {p.ctor}")
+        return Node(p.ctor, tuple(fill_wildcards(a, c) for a, c in zip(p.children, t.children)))
+    if p != t:
+        raise MatchFailure("literal pattern does not match tree")
+    return p
 
 
 def erase_vars(p: Pattern) -> Pattern:
     """Replace every variable of ``p`` with a wildcard."""
     if isinstance(p, Var):
         return WILDCARD
-    if isinstance(p, PNode):
-        return PNode(p.ctor, tuple(erase_vars(a) for a in p.args))
+    if isinstance(p, Node):
+        return Node(p.ctor, tuple(erase_vars(a) for a in p.children))
     return p
 
 
@@ -233,8 +203,8 @@ def var_path(p: Pattern, x: str) -> Path:
     def walk(q: Pattern, acc: Path) -> Path | None:
         if isinstance(q, Var) and q.name == x:
             return acc
-        if isinstance(q, PNode):
-            for i, a in enumerate(q.args):
+        if isinstance(q, Node):
+            for i, a in enumerate(q.children):
                 hit = walk(a, acc + (i,))
                 if hit is not None:
                     return hit
@@ -247,11 +217,11 @@ def var_path(p: Pattern, x: str) -> Path:
 
 
 def is_ground(p: Pattern) -> bool:
-    """True iff ``p`` contains no wildcard and no variable."""
+    """True iff ``p`` contains no wildcard and no variable, i.e. is a tree."""
     if isinstance(p, (Wildcard, Var)):
         return False
-    if isinstance(p, PNode):
-        return all(is_ground(a) for a in p.args)
+    if isinstance(p, Node):
+        return all(is_ground(a) for a in p.children)
     return True
 
 
@@ -300,11 +270,11 @@ def pattern_key(p: Pattern):
         return (0,)
     if isinstance(p, Var):
         return (1, p.name)
-    if isinstance(p, PInt):
+    if isinstance(p, IntLeaf):
         return (2, p.value)
-    if isinstance(p, PStr):
+    if isinstance(p, StrLeaf):
         return (3, p.value)
-    return (4, p.ctor, tuple(pattern_key(a) for a in p.args))
+    return (4, p.ctor, tuple(pattern_key(a) for a in p.children))
 
 
 def canonical_links(ls) -> list[Link]:
@@ -326,13 +296,3 @@ def tree_size(t: Tree) -> int:
         return 1 + sum(tree_size(c) for c in t.children)
     return 1
 
-
-def tree_paths(t: Tree) -> Iterator[tuple[Path, Tree]]:
-    """All (path, subtree) pairs of ``t`` in preorder."""
-    stack: list[tuple[Path, Tree]] = [((), t)]
-    while stack:
-        path, cur = stack.pop()
-        yield path, cur
-        if isinstance(cur, Node):
-            for i in range(len(cur.children) - 1, -1, -1):
-                stack.append((path + (i,), cur.children[i]))

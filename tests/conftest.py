@@ -4,13 +4,24 @@ from pathlib import Path
 
 import pytest
 
-from treelens import lens, load_program, parse_tree
+from treelens import Node, lens, load_program, parse_tree
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "lens_examples"
 
 
 def example_text(name: str) -> str:
     return (EXAMPLES / name).read_text(encoding="utf-8")
+
+
+def subtrees(t):
+    """Every (path, subtree) pair of ``t`` in preorder."""
+    stack = [((), t)]
+    while stack:
+        path, cur = stack.pop()
+        yield path, cur
+        if isinstance(cur, Node):
+            for i in range(len(cur.children) - 1, -1, -1):
+                stack.append((path + (i,), cur.children[i]))
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from treelens import (
     parse_tree,
     render_links,
     render_program,
-    render_tree,
+    render_pattern,
     validate_program,
     verify_laws,
 )
@@ -94,7 +94,7 @@ def test_criterion_4_swap_scenario(arith_expr, demo_cst):
     neg = parse_pattern('Neg "a neg" _')
     has_region = any(
         l.source.pattern == neg for l in arith_expr.get(s2)[1]
-    ) and 'Neg "a neg"' in render_tree(s2)
+    ) and 'Neg "a neg"' in render_pattern(s2)
     relinked = [
         (l.view.pattern, l.view.path)
         for l in arith_expr.get(s2)[1]
@@ -115,9 +115,9 @@ def test_criterion_5_sugar_language(sugarlang):
     ok_i = h.put(cst, v, ls) == cst
     plain = h.put(cst, v, frozenset())
     ok_ii = (
-        "SWhile" not in render_tree(plain)
-        and "SFor" in render_tree(plain)
-        and '"fuel doc"' not in render_tree(plain)
+        "SWhile" not in render_pattern(plain)
+        and "SFor" in render_pattern(plain)
+        and '"fuel doc"' not in render_pattern(plain)
     )
     script = parse_script(
         "copy [0,1] [1,1]\n"
@@ -126,7 +126,7 @@ def test_criterion_5_sugar_language(sugarlang):
     )
     st = apply_script(EditState(v, ls), script, EditContext(sugarlang.schema, "AProg"))
     cst2 = h.put(cst, st.view, st.links)
-    rendered = render_tree(cst2)
+    rendered = render_pattern(cst2)
     copied = 'SClass "car class" "Car" (SMethod "fuel doc" "fuel" (SWhile "keep the while"'
     rebuilt = 'SClass "bus class" "Bus" (SMethod "" "fuel" (SFor ""'
     ok_iii = copied in rendered and rebuilt in rendered and "SNoMethod" in rendered
@@ -145,7 +145,7 @@ def test_criterion_6_xml_scenario(addrbook):
     ops = parse_script(example_text("addrbook_update.edits"))
     st = apply_script(EditState(v, ls), ops, EditContext(addrbook.schema, "SocialBook"))
     book2 = h.put(book, st.view, st.links)
-    rendered = render_tree(book2)
+    rendered = render_pattern(book2)
     ok = (
         'AddrGroup "friends" (Cons (Person (Triple "Alice" "alice@abc.xyz" "000111"))'
         in rendered
@@ -188,7 +188,7 @@ def test_criterion_8_rejection_suite(arith, arith_expr, arith_term, demo_cst):
     v, ls = arith_expr.get(demo_cst)
     st = swap(EditState(v, ls), (0,), (1,))
     s2 = arith_expr.put(demo_cst, st.view, st.links)
-    case2 = render_tree(s2).startswith('Plus "a plus" (FromT "" (Neg "a neg"')
+    case2 = render_pattern(s2).startswith('Plus "a plus" (FromT "" (Neg "a neg"')
 
     # Case III: stacked wrappers; shortest-source-path choice keeps Hippocraticness.
     bp = load_program(example_text("brac_paren.lens"))

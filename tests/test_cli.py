@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 from conftest import EXAMPLES, example_text
 from treelens.cli import run
+
+SRC = EXAMPLES.parent / "src"
 
 
 def _arith(tmp_path):
@@ -118,6 +123,17 @@ def test_put_type_error_exit_code(tmp_path, capsys):
     ])
     assert code == 4
     capsys.readouterr()
+    # An ill-typed source is rejected too, even when a link could retain it.
+    src.write_text('FromT "a" (Lit 5 3)\n')
+    view, links, out = tmp_path / "v.tree", tmp_path / "l.links", tmp_path / "o.tree"
+    view.write_text("Num 3\n")
+    links.write_text("(Lit 5 _ @ [1]) <-> (Num _ @ [])\n")
+    assert run([
+        "put", "-p", prog, "-r", "Expr", "Arith",
+        "-s", str(src), "-v", str(view), "-l", str(links), "-o", str(out),
+    ]) == 4
+    assert capsys.readouterr().err == "type error: source: at [1, 0]: expected String, found Int\n"
+    assert not out.exists()
 
 
 def test_unknown_relation_exit_code(tmp_path, capsys):
@@ -222,3 +238,27 @@ def test_too_deep_input_is_a_one_line_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: input nests too deeply")
     assert err.count("\n") == 1
+
+
+def test_rejected_link_is_the_same_under_every_hash_seed(tmp_path):
+    # Three stray links sit inside one view region; put names the one with
+    # the least view path, whatever order the link set iterates in.
+    src, view, links = tmp_path / "s.tree", tmp_path / "v.tree", tmp_path / "l.links"
+    src.write_text("Node (Succ Zero) Tip Tip\n")
+    view.write_text("Tip\n")
+    links.write_text(
+        "(Tip @ [1]) <-> (Tip @ [])\n"
+        + "".join(f"(Succ _ @ [0]) <-> (True @ [{k}])\n" for k in range(3))
+    )
+    argv = [sys.executable, "-m", "treelens.cli", "put", "-p", str(EXAMPLES / "natbool.lens"),
+            "-r", "BinT Nat", "BinT Bool", "-s", str(src), "-v", str(view), "-l", str(links)]
+    errs = set()
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(SRC))
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 3
+        errs.add(done.stderr)
+    assert errs == {
+        "links rejected: E-overlapping-regions at view path []: second link ends inside "
+        "this view region [(Succ _ @ [0]) <-> (True @ [0])]\n"
+    }

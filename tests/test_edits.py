@@ -9,7 +9,7 @@ from treelens import (
     links_valid,
     parse_pattern,
     parse_tree,
-    render_tree,
+    render_pattern,
 )
 from treelens.edits import (
     Copy,
@@ -99,7 +99,7 @@ def test_put_after_copy_retains_region_twice(arith_expr, demo_cst):
     s2 = arith_expr.put(demo_cst, st.view, st.links)
     _, ls2 = arith_expr.get(s2)
     assert fst_projection(st.links) <= fst_projection(ls2)
-    assert render_tree(s2).count('Neg "a neg"') == 2
+    assert render_pattern(s2).count('Neg "a neg"') == 2
 
 
 def test_move_redirects_links(arith_expr, demo_cst):
@@ -273,7 +273,7 @@ def test_xml_scenario_script(addrbook, books):
     ops = parse_script(example_text("addrbook_update.edits"))
     out = apply_script(st, ops, ctx)
     book2 = h.put(book, out.view, out.links)
-    assert 'AddrGroup "friends" (Cons (Person (Triple "Alice" "alice@abc.xyz" "000111"))' in render_tree(book2)
+    assert 'AddrGroup "friends" (Cons (Person (Triple "Alice" "alice@abc.xyz" "000111"))' in render_pattern(book2)
     v2, _ = h.get(book2)
     assert v2 == out.view
 
@@ -298,15 +298,19 @@ def test_random_scripts_stay_checkable(arith, arith_expr):
 
 
 def test_type_at_walks_the_schema_along_the_path(books):
-    from treelens.edits import _type_at
+    from conftest import subtrees
+    from treelens.edits import _replace_at, _type_at
     from treelens.schema import check_tree_type
-    from treelens.trees import PathOutOfRange
+    from treelens.trees import WILDCARD, PathOutOfRange
 
     h, book, st, ctx = books
-    typed = check_tree_type(ctx.schema, ctx.view_type, st.view)
-    assert len(typed.types) > 10
-    for p, ty in typed.types.items():
-        assert _type_at(ctx, st.view, p) == ty
+    paths = [p for p, _ in subtrees(st.view)]
+    assert len(paths) > 10
+    for p in paths:
+        # the whole-term walk types a hole at ``p`` as the path walk does
+        holes = {}
+        check_tree_type(ctx.schema, ctx.view_type, _replace_at(st.view, p, WILDCARD), holes)
+        assert holes == {p: _type_at(ctx, st.view, p)}
     for p in [(1,), (0, 2), (0, 0, 0, 0), (0, -1)]:  # off the tree, and into a String
         with pytest.raises(PathOutOfRange):
             _type_at(ctx, st.view, p)
@@ -340,6 +344,20 @@ def test_typed_script_rejects_an_ill_typed_input_view(books):
     with pytest.raises(EditScriptError) as e:
         apply_script(bad, [Swap((0, 0), (0, 1))], ctx)
     assert e.value.step == 0 and isinstance(e.value.cause, IllTypedInput)
+
+
+def test_typed_script_rejects_a_hole(books):
+    from treelens import WILDCARD, Node, Var
+
+    h, book, st, ctx = books
+    holey = EditState(Node("SocialBook", (Var("groups"),)), frozenset())
+    with pytest.raises(EditScriptError) as e:
+        apply_script(holey, [Swap((0, 0), (0, 1))], ctx)
+    assert e.value.step == 0 and isinstance(e.value.cause, IllTypedInput)
+    assert str(e.value.cause) == "at [0]: expected List SocialGroup, found variable groups"
+    with pytest.raises(EditScriptError) as e:
+        apply_script(st, [Replace((0, 0, 0), WILDCARD)], ctx)
+    assert str(e.value.cause) == "replacement at [0, 0, 0]: at []: expected String, found wildcard _"
 
 
 def test_script_paths_accept_spacing():

@@ -1,20 +1,27 @@
 import pytest
 
+from conftest import subtrees
 from treelens import (
+    WILDCARD,
+    IntLeaf,
     Link,
+    Node,
     Region,
+    StrLeaf,
+    Var,
     divide,
     add_v_prefix,
     fst_projection,
     lens,
     links_valid,
     load_program,
+    parse_links,
     parse_pattern,
     parse_tree,
-    render_tree,
+    render_pattern,
 )
 from treelens.engine import IllTypedInput, InvalidLinks, UnknownRelation
-from treelens.trees import PNode, Wildcard, tree_paths
+from treelens.trees import Wildcard
 
 
 def _link(sp, spath, vp, vpath):
@@ -57,9 +64,7 @@ def test_get_links_valid_and_partition(arith, arith_expr):
             for p in _region_positions(l.view):
                 cover[p] = cover.get(p, 0) + 1
         assert all(n == 1 for n in cover.values())
-        from treelens.trees import Node
-
-        for p, sub in tree_paths(v):
+        for p, sub in subtrees(v):
             if isinstance(sub, Node):
                 assert cover.get(p, 0) == 1
 
@@ -71,8 +76,8 @@ def _region_positions(region):
         if isinstance(pat, Wildcard):
             return
         out.append(region.path + rel)
-        if isinstance(pat, PNode):
-            for i, a in enumerate(pat.args):
+        if isinstance(pat, Node):
+            for i, a in enumerate(pat.children):
                 walk(a, rel + (i,))
 
     walk(region.pattern, ())
@@ -82,6 +87,35 @@ def _region_positions(region):
 def test_get_rejects_ill_typed(arith_expr):
     with pytest.raises(IllTypedInput):
         arith_expr.get(parse_tree('Lit "x" 5'))  # a Term, not an Expr
+
+
+_HOLEY_SOURCE = Node("FromT", (StrLeaf("a"), WILDCARD))
+_HOLEY_VIEW = Node("Add", (Node("Num", (IntLeaf(1),)), Var("y")))
+_SOURCE_HOLE = "at [1]: expected Term, found wildcard _"
+_VIEW_HOLE = "at [1]: expected Arith, found variable y"
+
+
+@pytest.mark.parametrize(
+    "call,side,message",
+    [
+        ("get", "source", _SOURCE_HOLE),
+        ("put", "source", _SOURCE_HOLE),
+        ("put", "view", _VIEW_HOLE),
+        ("check", "source", _SOURCE_HOLE),
+        ("check", "view", _VIEW_HOLE),
+    ],
+)
+def test_a_hole_in_an_input_is_a_type_error(arith_expr, demo_cst, call, side, message):
+    # Terms with holes are patterns; handed in as trees they are ill-typed.
+    v, ls = arith_expr.get(demo_cst)
+    s, v = (_HOLEY_SOURCE, v) if side == "source" else (demo_cst, _HOLEY_VIEW)
+    if call == "check":
+        f = arith_expr.check_explain(s, v, ls)
+        assert (f.code, f.view_path, f.message) == (f"E-ill-typed-{side}", (), message)
+        return
+    with pytest.raises(IllTypedInput) as e:
+        arith_expr.get(s) if call == "get" else arith_expr.put(s, v, ls)
+    assert str(e.value) == f"{side}: {message}"
 
 
 def test_put_hippocratic_instance(arith_expr, demo_cst):
@@ -137,7 +171,7 @@ def test_check_rejects_neg_to_add_link(arith_expr, demo_cst):
         arith_expr.put(demo_cst, v, bad)
 
 
-def test_check_rejects_overlapping_view_regions(arith_term):
+def test_check_rejects_overlapping_view_regions(arith_expr):
     # Both the Sub _ _ region and the Sub (Num 0) _ region claim the view top.
     s = parse_tree('Minus "m" (FromT "" (Lit "" 0)) (Neg "a neg" (Lit "" 7))')
     v = parse_tree("Sub (Num 0) (Num 7)")
@@ -148,10 +182,10 @@ def test_check_rejects_overlapping_view_regions(arith_term):
             _link('Lit "" _', (2, 1), "Num _", (1,)),
         }
     )
-    f = arith_term.check_explain(s, v, overlapping)
+    f = arith_expr.check_explain(s, v, overlapping)
     assert f is not None and f.code == "E-overlapping-regions"
     with pytest.raises(InvalidLinks):
-        arith_term.put(s, v, overlapping)
+        arith_expr.put(s, v, overlapping)
 
 
 def test_check_rejects_dangling_source(arith_term):
@@ -192,7 +226,7 @@ def test_term_in_expr_retention_uses_conversion(arith_expr, demo_cst):
     v, ls = arith_expr.get(demo_cst)
     st = swap(EditState(v, ls), (0,), (1,))
     s2 = arith_expr.put(demo_cst, st.view, st.links)
-    assert render_tree(s2).startswith('Plus "a plus" (FromT "" (Neg "a neg"')
+    assert render_pattern(s2).startswith('Plus "a plus" (FromT "" (Neg "a neg"')
 
 
 def test_brac_paren_hippocraticness():
@@ -255,11 +289,26 @@ R <---> V
     assert h.put(parse_tree("PZ"), parse_tree("VB"), frozenset()) == parse_tree("MkP (MkQ RZ)")
 
 
-def test_put_source_argument_is_generic(arith_expr, arith_term):
-    # put only consults the old source through link paths; a source of a
-    # different type with empty links is accepted.
-    out = arith_expr.put(parse_tree("Tip") , parse_tree("Num 3"), frozenset())
-    assert out == parse_tree('FromT "" (Lit "" 3)')
+def test_put_and_check_type_check_the_source(arith_expr):
+    # A source of another type is rejected like an ill-typed view, even with
+    # links that put could follow: put and check agree on it.
+    s = parse_tree('FromT "a" (Lit 5 3)')  # Lit takes a String, then an Int
+    v = parse_tree("Num 3")
+    ls = parse_links("(Lit 5 _ @ [1]) <-> (Num _ @ [])\n")
+    f = arith_expr.check_explain(s, v, ls)
+    assert (f.code, f.view_path, f.link) == ("E-ill-typed-source", (), None)
+    assert f.message == "at [1, 0]: expected String, found Int"
+    assert arith_expr.try_put(s, v, ls) == f
+    with pytest.raises(IllTypedInput) as e:
+        arith_expr.put(s, v, ls)
+    assert str(e.value) == "source: at [1, 0]: expected String, found Int"
+    for other in (parse_tree("Tip"), parse_tree('Lit "x" 1')):
+        assert arith_expr.check_explain(other, v, frozenset()).code == "E-ill-typed-source"
+        with pytest.raises(IllTypedInput):
+            arith_expr.put(other, v, frozenset())
+    # an ill-typed view is reported first
+    f = arith_expr.check_explain(s, parse_tree('Lit "x" 1'), ls)
+    assert f.code == "E-ill-typed-view"
 
 
 @pytest.mark.parametrize(
@@ -277,7 +326,6 @@ def test_view_regions_partition_every_program(name, sty, vty):
     # constructor node of the view covered by exactly one region.
     from conftest import example_text
     from treelens.harness import gen_tree
-    from treelens.trees import Node
 
     vp = load_program(example_text(name), name)
     h = lens(vp, sty, vty)
@@ -290,7 +338,7 @@ def test_view_regions_partition_every_program(name, sty, vty):
             for p in _region_positions(l.view):
                 cover[p] = cover.get(p, 0) + 1
         assert all(n == 1 for n in cover.values()), (name, seed)
-        for p, sub in tree_paths(v):
+        for p, sub in subtrees(v):
             if isinstance(sub, Node):
                 assert cover.get(p, 0) == 1, (name, seed, p)
 
@@ -345,7 +393,7 @@ _PINNED_FAILURES = [
         "E-overlapping-regions", (),
     ),
     (
-        "arith.lens", ("Term", "Arith"),
+        "arith.lens", ("Expr", "Arith"),
         'Minus "m" (FromT "" (Lit "" 0)) (Neg "a neg" (Lit "" 7))', "Sub (Num 0) (Num 7)",
         '(Minus "m" _ _ @ []) <-> (Sub _ _ @ [])\n'
         '(Neg "a neg" _ @ [2]) <-> (Sub (Num 0) _ @ [])\n'

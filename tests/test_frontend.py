@@ -7,17 +7,10 @@ from treelens import (
     parse_program,
     parse_tree,
     render_program,
-    render_tree,
-    synthesize_inj,
     validate_program,
 )
-from treelens.frontend import (
-    NoConversion,
-    ValidationError,
-    interchangeable_pairs,
-    normalize_type_name,
-)
-from treelens.text import LensSyntaxError
+from treelens.frontend import ValidationError, normalize_type_name
+from treelens.text import LensSyntaxError, render_pattern
 from treelens.trees import reconstruct
 
 ARITH = example_text("arith.lens")
@@ -53,9 +46,6 @@ def test_parse_mirror():
     assert len(p.relations) == 1
     rules = p.relations[0].rules
     assert len(rules) == 2
-    assert render_tree is not None
-    from treelens.text import render_pattern
-
     assert render_pattern(rules[1].source) == "Node i x y"
     assert render_pattern(rules[1].view) == "Node i y x"
 
@@ -161,23 +151,22 @@ def test_constructor_reuse_rejected():
     assert "E-ctor-reuse" in {d.code for d in e.value.diagnostics}
 
 
-def test_interchangeable_pairs_arith(arith):
-    quads = interchangeable_pairs(arith)
-    assert ("Expr", "Term", "Expr", "Arith") in quads
-    assert ("Expr", "Term", "Term", "Arith") in quads
+def test_inj_table_arith(arith):
+    # Expr and Term sit side by side under Plus, both related to Arith.
+    assert set(arith.inj_table) == {("Expr", "Term", "Arith"), ("Term", "Expr", "Arith")}
 
 
-def test_interchangeable_pairs_empty_for_single_relation(mirror):
-    assert interchangeable_pairs(mirror) == frozenset()
+def test_inj_table_empty_for_single_relation(mirror):
+    assert mirror.inj_table == {}
 
 
-def test_interchangeable_pairs_rosetree():
+def test_inj_table_rosetree():
     vp = load_program(example_text("rosetree.lens"))
-    assert interchangeable_pairs(vp) == frozenset()
+    assert vp.inj_table == {}
 
 
-def test_synthesize_inj_fromt(arith):
-    steps = synthesize_inj(arith, "Term", "Expr", "Arith")
+def test_inj_table_fromt(arith):
+    steps = arith.inj_table[("Term", "Expr", "Arith")]
     x = parse_tree('Neg "a neg" (Lit "" 1)')
     out = x
     for step in steps:
@@ -185,12 +174,8 @@ def test_synthesize_inj_fromt(arith):
     assert out == parse_tree('FromT "" (Neg "a neg" (Lit "" 1))')
 
 
-def test_synthesize_inj_identity(arith):
-    assert synthesize_inj(arith, "Expr", "Expr", "Arith") == ()
-
-
-def test_synthesize_inj_paren(arith):
-    steps = synthesize_inj(arith, "Expr", "Term", "Arith")
+def test_inj_table_paren(arith):
+    steps = arith.inj_table[("Expr", "Term", "Arith")]
     e = parse_tree('FromT "" (Lit "" 1)')
     out = e
     for step in steps:
@@ -201,7 +186,7 @@ def test_synthesize_inj_paren(arith):
 def test_inj_preserves_get(arith, arith_expr, arith_term):
     from treelens.harness import gen_tree
 
-    steps = synthesize_inj(arith, "Term", "Expr", "Arith")
+    steps = arith.inj_table[("Term", "Expr", "Arith")]
     for seed in range(40):
         t = gen_tree(arith.schema, "Term", 25, seed)
         wrapped = t
@@ -235,12 +220,9 @@ B <---> V
 
 def test_primitive_view_pairs_are_exempt(addrbook):
     # The address book declares Person and Triple against the same primitive
-    # view type with only one conversion direction available.
-    quads = interchangeable_pairs(addrbook)
-    assert any(q[3] == "String" for q in quads)
+    # view type with only one conversion direction available, and validates.
     assert ("Triple String String String", "Person", "String") in addrbook.inj_table
-    with pytest.raises(NoConversion):
-        synthesize_inj(addrbook, "Person", "Triple String String String", "String")
+    assert ("Person", "Triple String String String", "String") not in addrbook.inj_table
 
 
 def test_normalize_type_name(addrbook):

@@ -9,12 +9,12 @@ from treelens import (
     fst_projection,
     lens,
     load_program,
+    parse_links,
     parse_tree,
-    synthesize_inj,
     verify_laws,
 )
 from treelens.edits import Copy, EditContext, EditState, apply_script
-from treelens.engine import InvalidLinks
+from treelens.engine import IllTypedInput, InvalidLinks
 from treelens.harness import gen_tree
 from treelens.trees import reconstruct
 
@@ -87,9 +87,9 @@ Root <---> RootV
 def test_three_step_conversion_chain_synthesis():
     vp = load_program(THREE_CHAIN)
     # A reaches B in one wrapper, but B reaches A only around the cycle.
-    one = synthesize_inj(vp, "B", "A", "V")
+    one = vp.inj_table[("B", "A", "V")]
     assert len(one) == 1
-    two = synthesize_inj(vp, "A", "B", "V")
+    two = vp.inj_table[("A", "B", "V")]
     assert len(two) == 2
     x = parse_tree("MkA 5")
     for step in two:
@@ -187,8 +187,8 @@ def test_shape_identical_relations_at_one_view_type():
 
 
 def test_foreign_region_without_conversion_rejected():
-    # Moving a B-generated link into an A slot has no conversion chain; the
-    # links must be rejected, not silently rebuilt.
+    # A List A source holds no B region, so B-generated links can only reach
+    # an A slot through a source that is not a List A: that is ill-typed.
     vp = load_program(TWO_LISTS)
     ha = lens(vp, "List A", "List V")
     hb = lens(vp, "List B", "List V")
@@ -196,8 +196,19 @@ def test_foreign_region_without_conversion_rejected():
     vb, lsb = hb.get(sb)
     sa = parse_tree("Cons (MkA 7) Nil")
     f = ha.check_explain(sb, vb, lsb)
-    assert f is not None  # B spine regions cannot be retained at List A
-    with pytest.raises(InvalidLinks):
+    assert f is not None and f.code == "E-ill-typed-source"
+    with pytest.raises(IllTypedInput):
         ha.put(sb, vb, lsb)
     # with no links at all the same view rebuilds fine
     assert ha.put(sa, vb, frozenset()) == parse_tree("Cons (MkA 7) Nil")
+    # In a well-typed source, a Person region linked into the Triple slot
+    # under another Person has no conversion chain: rejected, not rebuilt.
+    book = load_program(example_text("addrbook.lens"))
+    h = lens(book, "List Person", "List Name")
+    s = parse_tree('Cons (Person (Triple "a" "e" "t")) (Cons (Person (Triple "b" "f" "u")) Nil)')
+    v, ls = h.get(s)
+    ls |= parse_links("(Person _ @ [0]) <-> (_ @ [1,0])\n")
+    f = h.check_explain(s, v, ls)
+    assert f is not None and (f.code, f.view_path) == ("E-no-conversion", (1, 0))
+    with pytest.raises(InvalidLinks):
+        h.put(s, v, ls)

@@ -6,27 +6,30 @@ from treelens import (
     IntLeaf,
     Node,
     StrLeaf,
-    check_pattern_type,
+    WILDCARD,
+    Var,
     check_tree_type,
     default_value,
     parse_pattern,
     parse_tree,
 )
-from treelens.schema import IllTyped, NoFiniteDefault
+from treelens.schema import IllTyped, NoFiniteDefault, type_at
 from treelens.frontend import load_program
 
 
 def test_check_tree_type_accepts(arith):
-    typed = check_tree_type(arith.schema, "Term", parse_tree('Lit "x" 5'))
-    assert typed.root_type == "Term"
-    assert typed.type_at(()) == "Term"
-    assert typed.type_at((0,)) == "String"
-    assert typed.type_at((1,)) == "Int"
+    t = parse_tree('Lit "x" 5')
+    assert check_tree_type(arith.schema, "Term", t) is None
+    assert type_at(arith.schema, "Term", t, ()) == "Term"
+    assert type_at(arith.schema, "Term", t, (0,)) == "String"
+    assert type_at(arith.schema, "Term", t, (1,)) == "Int"
 
 
 def test_check_tree_type_primitive(arith):
-    typed = check_tree_type(arith.schema, "Int", IntLeaf(3))
-    assert typed.type_at(()) == "Int"
+    check_tree_type(arith.schema, "Int", IntLeaf(3))
+    assert type_at(arith.schema, "Int", IntLeaf(3), ()) == "Int"
+    with pytest.raises(IllTyped):
+        check_tree_type(arith.schema, "Int", StrLeaf("3"))
 
 
 def test_check_tree_type_wrong_type(arith):
@@ -37,21 +40,53 @@ def test_check_tree_type_wrong_type(arith):
     assert e.value.found == "Term"
 
 
-def test_check_pattern_type_annotations(arith):
-    tp = check_pattern_type(arith.schema, "Expr", parse_pattern("Plus _ x y"))
-    assert tp.type_at((0,)) == "String"  # Annot resolves to String
-    assert tp.type_at((1,)) == "Expr"
-    assert tp.type_at((2,)) == "Term"
+def test_rule_pattern_holes_take_demanded_types(arith):
+    holes = {}
+    check_tree_type(arith.schema, "Expr", parse_pattern("Plus _ x y"), holes)
+    assert holes == {(0,): "String", (1,): "Expr", (2,): "Term"}  # Annot resolves to String
 
 
-def test_check_pattern_type_bare_var(arith):
-    tp = check_pattern_type(arith.schema, "Arith", parse_pattern("t"))
-    assert tp.type_at(()) == "Arith"
+def test_rule_pattern_bare_var_hole(arith):
+    holes = {}
+    check_tree_type(arith.schema, "Arith", parse_pattern("t"), holes)
+    assert holes == {(): "Arith"}
 
 
-def test_check_pattern_type_rejects(arith):
+def test_rule_pattern_rejects(arith):
     with pytest.raises(IllTyped):
-        check_pattern_type(arith.schema, "Arith", parse_pattern("Plus _ x y"))
+        check_tree_type(arith.schema, "Arith", parse_pattern("Plus _ x y"), {})
+
+
+@pytest.mark.parametrize(
+    "hole,found", [(WILDCARD, "wildcard _"), (Var("r"), "variable r")]
+)
+def test_hole_in_an_input_is_ill_typed(arith, hole, found):
+    t = Node("Neg", (StrLeaf("a"), Node("Lit", (StrLeaf(""), hole))))
+    with pytest.raises(IllTyped) as e:
+        check_tree_type(arith.schema, "Term", t)
+    assert (e.value.path, e.value.expected, e.value.found) == ((1, 1), "Int", found)
+    assert str(e.value) == f"at [1, 1]: expected Int, found {found}"
+
+
+def test_check_tree_type_is_iterative(arith, addrbook):
+    # A 2,000-term left-deep sum and a 2,000-person list, built in code: far
+    # deeper than the interpreter's recursion limit.
+    lit = Node("Lit", (StrLeaf(""), IntLeaf(1)))
+    e = Node("FromT", (StrLeaf(""), lit))
+    for _ in range(1999):
+        e = Node("Plus", (StrLeaf(""), e, lit))
+    check_tree_type(arith.schema, "Expr", e)
+    person = Node("Person", (Node("Triple", (StrLeaf("n"), StrLeaf("e"), StrLeaf("t"))),))
+    people = Node("Nil")
+    for _ in range(2000):
+        people = Node("Cons", (person, people))
+    check_tree_type(addrbook.schema, "List Person", people)
+    deep = (1,) * 2000
+    assert type_at(addrbook.schema, "List Person", people, deep) == "List Person"
+    bad = Node("Cons", (person, Node("Cons", (StrLeaf("x"), people))))
+    with pytest.raises(IllTyped) as err:
+        check_tree_type(addrbook.schema, "List Person", bad)
+    assert (err.value.path, err.value.found) == ((1, 0), "String")
 
 
 def test_default_values(arith):

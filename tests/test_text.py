@@ -3,6 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treelens import (
+    IntLeaf,
+    Node,
+    StrLeaf,
+    WILDCARD,
+    Var,
     parse_links,
     parse_path,
     parse_pattern,
@@ -11,46 +16,70 @@ from treelens import (
     render_links,
     render_path,
     render_pattern,
-    render_tree,
 )
 from treelens.text import LensSyntaxError, read_tree_file, write_tree_file
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "Num 0",
-        "Num -5",
-        'Lit "x" 1',
-        'Plus "a plus" (FromT "" (Lit "" 1)) (Neg "n" (Lit "" 2))',
-        '"just a string"',
-        "42",
-        "-7",
-        "Tip",
-    ],
-)
-def test_tree_roundtrip(text):
-    assert render_tree(parse_tree(text)) == text
+def _lit(s, i):
+    return Node("Lit", (StrLeaf(s), IntLeaf(i)))
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text,built",
     [
-        "_",
-        "x",
-        "Neg \"a neg\" _",
-        "Sub (Num 0) r",
-        "Add _ _",
-        'Plus _ x y',
+        pytest.param(text, built, id=text)
+        for text, built in [
+            ("Num 0", Node("Num", (IntLeaf(0),))),
+            ("Num -5", Node("Num", (IntLeaf(-5),))),
+            ('Lit "x" 1', _lit("x", 1)),
+            (
+                'Plus "a plus" (FromT "" (Lit "" 1)) (Neg "n" (Lit "" 2))',
+                Node(
+                    "Plus",
+                    (
+                        StrLeaf("a plus"),
+                        Node("FromT", (StrLeaf(""), _lit("", 1))),
+                        Node("Neg", (StrLeaf("n"), _lit("", 2))),
+                    ),
+                ),
+            ),
+            ('"just a string"', StrLeaf("just a string")),
+            ("42", IntLeaf(42)),
+            ("-7", IntLeaf(-7)),
+            ("Tip", Node("Tip")),
+        ]
     ],
 )
-def test_pattern_roundtrip(text):
-    assert render_pattern(parse_pattern(text)) == text
+def test_tree_roundtrip(text, built):
+    t = parse_tree(text)
+    assert t == built
+    assert render_pattern(t) == text
+    assert parse_pattern(text) == t  # a tree is a pattern without holes
+
+
+@pytest.mark.parametrize(
+    "text,built",
+    [
+        pytest.param(text, built, id=text)
+        for text, built in [
+            ("_", WILDCARD),
+            ("x", Var("x")),
+            ('Neg "a neg" _', Node("Neg", (StrLeaf("a neg"), WILDCARD))),
+            ("Sub (Num 0) r", Node("Sub", (Node("Num", (IntLeaf(0),)), Var("r")))),
+            ("Add _ _", Node("Add", (WILDCARD, WILDCARD))),
+            ("Plus _ x y", Node("Plus", (WILDCARD, Var("x"), Var("y")))),
+        ]
+    ],
+)
+def test_pattern_roundtrip(text, built):
+    p = parse_pattern(text)
+    assert p == built
+    assert render_pattern(p) == text
 
 
 def test_string_escapes():
     t = parse_tree('"a \\"quoted\\" \\\\ backslash"')
-    assert render_tree(t) == '"a \\"quoted\\" \\\\ backslash"'
+    assert render_pattern(t) == '"a \\"quoted\\" \\\\ backslash"'
 
 
 def test_bad_escape_rejected():
@@ -118,8 +147,9 @@ def test_write_tree_file():
 def test_random_tree_roundtrip(arith, seed):
     from treelens.harness import gen_tree
 
-    t = gen_tree(arith.schema, "Expr", 30, seed)
-    assert parse_tree(render_tree(t)) == t
+    t = gen_tree(arith.schema, "Expr", 30, seed)  # built with Node, IntLeaf, StrLeaf
+    assert parse_tree(render_pattern(t)) == t
+    assert parse_pattern(render_pattern(t)) == t
     assert read_tree_file(write_tree_file(t)) == t
 
 

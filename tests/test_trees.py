@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import subtrees
 from treelens import (
     IntLeaf,
     Link,
     Node,
-    PNode,
     Region,
     StrLeaf,
     Var,
@@ -224,10 +224,8 @@ def _derive_pattern(t, rng, depth=0):
             a, n = _derive_pattern(c, rng, depth + 1)
             args.append(a)
             nvars += n
-        return PNode(t.ctor, tuple(args)), nvars
-    from treelens.trees import tree_to_pattern
-
-    return tree_to_pattern(t), 0
+        return Node(t.ctor, tuple(args)), nvars
+    return t, 0
 
 
 @settings(max_examples=120, deadline=None)
@@ -263,7 +261,7 @@ def test_sel_concatenation(seed):
 
     t = _random_tree(seed)
     rng = random.Random(seed)
-    paths = [p for p, _ in __import__("treelens").trees.tree_paths(t)]
+    paths = [p for p, _ in subtrees(t)]
     full = paths[rng.randrange(len(paths))]
     cut = rng.randint(0, len(full))
     assert sel(t, full) == sel(sel(t, full[:cut]), full[cut:])
