@@ -7,6 +7,8 @@ view and whose ``put`` consumes (possibly edited) links to retain the linked
 source regions, guarded by a ``check`` procedure that decides put's domain.
 """
 
+from types import ModuleType as _Module
+
 from .compose import CompositeLens
 from .edits import (
     Copy,
@@ -26,10 +28,9 @@ from .engine import (
     CheckFailure,
     IllTypedInput,
     InvalidLinks,
+    Lens,
     LensHandle,
     UnknownRelation,
-    add_v_prefix,
-    divide,
     lens,
 )
 from .frontend import (
@@ -90,4 +91,5 @@ from .trees import (
     var_path,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Submodules bind their names here on import; they are not part of the API.
+__all__ = [n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _Module)]

@@ -95,6 +95,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--size", type=int, default=40)
     p.add_argument("--script-len", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(summary=None)  # --laws runs the laws command, which has --summary
     return top
 
 
@@ -123,9 +124,21 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_get(args) -> int:
+def _lens(args):
+    """The lens a command runs: ``-r``'s relation, or ``--r1`` then ``--r2`` for a complete compose."""
     vp = _load(args.program)
-    h = lens(vp, *args.relation)
+    if args.command != "compose":
+        return lens(vp, *args.relation)
+    cl = CompositeLens(lens(vp, *args.r1), lens(vp, *args.r2))
+    if args.get and not args.input:
+        raise _Usage("--get needs -i")
+    if args.put and not (args.source and args.view):
+        raise _Usage("--put needs -s and -v")
+    return cl
+
+
+def _cmd_get(args) -> int:
+    h = _lens(args)
     s = read_tree_file(_read(args.input))
     view, links = h.get(s)
     _write(args.output, write_tree_file(view))
@@ -134,8 +147,7 @@ def _cmd_get(args) -> int:
 
 
 def _cmd_put(args) -> int:
-    vp = _load(args.program)
-    h = lens(vp, *args.relation)
+    h = _lens(args)
     s = read_tree_file(_read(args.source))
     v = read_tree_file(_read(args.view))
     links = parse_links(_read(args.links)) if args.links else frozenset()
@@ -149,9 +161,8 @@ def _cmd_edit(args) -> int:
     ops = parse_script(_read(args.script))
     ctx = None
     if args.program and args.relation:
-        vp = _load(args.program)
-        h = lens(vp, *args.relation)
-        ctx = EditContext(vp.schema, h.view_type)
+        h = _lens(args)
+        ctx = EditContext(h.view_schema, h.view_type)
     state = apply_script(EditState(view, links), ops, ctx)
     _write(args.output, write_tree_file(state.view))
     _write(args.links_out, render_links(state.links))
@@ -159,8 +170,7 @@ def _cmd_edit(args) -> int:
 
 
 def _cmd_laws(args) -> int:
-    vp = _load(args.program)
-    h = lens(vp, *args.relation)
+    h = _lens(args)
     summary = verify_laws(
         h, args.trials, size_bound=args.size, script_len=args.script_len, seed=args.seed
     )
@@ -171,29 +181,7 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    vp = _load(args.program)
-    cl = CompositeLens(lens(vp, *args.r1), lens(vp, *args.r2))
-    if args.get:
-        if not args.input:
-            raise _Usage("--get needs -i")
-        a = read_tree_file(_read(args.input))
-        c, links = cl.get(a)
-        _write(args.output, write_tree_file(c))
-        _write(args.links, render_links(links))
-        return 0
-    if args.put:
-        if not (args.source and args.view):
-            raise _Usage("--put needs -s and -v")
-        a = read_tree_file(_read(args.source))
-        c2 = read_tree_file(_read(args.view))
-        links = parse_links(_read(args.links)) if args.links else frozenset()
-        _write(args.output, write_tree_file(cl.put(a, c2, links)))
-        return 0
-    summary = verify_laws(
-        cl, args.trials, size_bound=args.size, script_len=args.script_len, seed=args.seed
-    )
-    sys.stdout.write(summary.to_text())
-    return 0 if summary.ok else 1
+    return (_cmd_get if args.get else _cmd_put if args.put else _cmd_laws)(args)
 
 
 _COMMANDS = {

@@ -1,17 +1,19 @@
 """Sequential composition of two lenses with link-relation plumbing.
 
-The composite's get runs both gets and composes the link relations; its put
-threads links through the middle type in eight steps: derive intermediate
-links for the inner put from the input links and the first get's links, run
-the inner put, re-read the updated middle's links, and use their composition
-with the input links to drive the outer put.
+A composite is a lens like its parts: ``Lens`` types its inputs once, and its
+cores run on the parts' cores, so no intermediate value is typed again.  Its
+get runs both gets and composes the link relations; its put threads links
+through the middle type: derive intermediate links for the inner put from the
+input links and the first get's links, run the inner put, re-read the updated
+middle's links, and use their composition with the input links to drive the
+outer put.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import CheckFailure, LensHandle
+from .engine import CheckFailure, Lens
 from .trees import LinkSet, Tree, link_compose, link_converse
 
 
@@ -20,11 +22,11 @@ class CompositionTypeError(Exception):
 
 
 @dataclass
-class CompositeLens:
+class CompositeLens(Lens):
     """Two lenses A <---> B and B <---> C run in sequence."""
 
-    first: LensHandle
-    second: LensHandle
+    first: Lens
+    second: Lens
 
     def __post_init__(self) -> None:
         if self.first.view_type != self.second.source_type:
@@ -43,37 +45,24 @@ class CompositeLens:
 
     @property
     def source_schema(self):
-        return self.first.program.schema
+        return self.first.source_schema
 
     @property
     def view_schema(self):
-        return self.second.program.schema
+        return self.second.view_schema
 
-    def get(self, a: Tree) -> tuple[Tree, LinkSet]:
-        b, ls_ab = self.first.get(a)
-        c, ls_bc = self.second.get(b)
+    def _get(self, a: Tree) -> tuple[Tree, LinkSet]:
+        b, ls_ab = self.first._get(a)
+        c, ls_bc = self.second._get(b)
         return c, link_compose(ls_ab, ls_bc)
 
-    def put(self, a: Tree, c2: Tree, ls_ac2) -> Tree:
+    def _try_put(self, a: Tree, c2: Tree, ls_ac2) -> Tree | CheckFailure:
         ls_ac2 = frozenset(ls_ac2)
-        b, ls_ab = self.first.get(a)
+        b, ls_ab = self.first._get(a)
         ls_bc2 = link_converse(link_compose(link_converse(ls_ac2), ls_ab))
-        b2 = self.second.put(b, c2, ls_bc2)
-        _, ls_b2c2 = self.second.get(b2)
-        ls_ab2 = link_compose(ls_ac2, link_converse(ls_b2c2))
-        return self.first.put(a, b2, ls_ab2)
-
-    def check(self, a: Tree, c2: Tree, ls_ac2) -> bool:
-        return self.check_explain(a, c2, ls_ac2) is None
-
-    def check_explain(self, a: Tree, c2: Tree, ls_ac2) -> CheckFailure | None:
-        """Accept exactly when ``put`` would succeed (both inner puts accept)."""
-        ls_ac2 = frozenset(ls_ac2)
-        b, ls_ab = self.first.get(a)
-        ls_bc2 = link_converse(link_compose(link_converse(ls_ac2), ls_ab))
-        b2 = self.second.try_put(b, c2, ls_bc2)
+        b2 = self.second._try_put(b, c2, ls_bc2)
         if isinstance(b2, CheckFailure):
             return b2
-        _, ls_b2c2 = self.second.get(b2)
+        _, ls_b2c2 = self.second._get(b2)
         ls_ab2 = link_compose(ls_ac2, link_converse(ls_b2c2))
-        return self.first.check_explain(a, b2, ls_ab2)
+        return self.first._try_put(a, b2, ls_ab2)

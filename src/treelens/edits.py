@@ -224,10 +224,10 @@ def _cons_name_from_ctx(ctx: EditContext | None, view: Tree, list_path: Path) ->
         raise NotAList("cannot infer the cell constructor of an empty list")
     ty = _type_at(ctx, view, list_path)
     assert ty is not None
-    for c in ctx.schema.constructors(ty):
-        if len(c.arg_types) == 2 and ctx.schema.resolve(c.arg_types[1]) == ty:
-            return c.name
-    raise NotAList(f"type {ty} has no list cell constructor")
+    cell = ctx.schema.list_cell(ty)
+    if cell is None:
+        raise NotAList(f"type {ty} has no list cell constructor")
+    return cell.name
 
 
 def _cell(list_path: Path, j: int) -> Path:

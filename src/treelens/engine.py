@@ -1,31 +1,28 @@
 """The derived lens: link-producing get, link-consuming put, and check.
 
-``get`` pairs the computed view with a link set relating source regions to
-view regions.  ``put`` rebuilds a source from a view and a link set, grabbing
-the linked source region whenever a link ends at the current view root and
-falling back to defaults otherwise.  ``check`` decides put's domain exactly:
-``put`` succeeds if and only if ``check`` accepts.
+Every lens, a composite included, has two primitives: ``get`` pairs the view
+with links relating source regions to view regions, and ``try_put`` returns
+the new source or the first ``CheckFailure``.  ``Lens`` writes the rest once.
+It types the view, then the source, at the boundary and hands them to a
+subclass's untyped cores ``_get``/``_try_put``; ``put`` raises try_put's
+failure and ``check``/``check_explain`` report it, so "put iff check" holds
+by construction.
 
-The recursion mirrors the rule structure: at each view node either no input
-link ends here (rebuild case: pick the first matching rule, preferring one
-whose view pattern is not a bare variable) or some link does (retain case:
-pick the link with the shortest source path, find the unique rule able to
-generate its regions — the current relation first, then the other relations
-sharing the view type — keep the region's content and recurse into the
-holes).  Retained regions whose rule belongs to a different source type are
-wrapped by the synthesized conversion chain for the two interchangeable
-types.
+``LensHandle`` is the lens of one declared relation.  Its recursion mirrors
+the rule structure: at each view node either no input link ends here
+(rebuild case: pick the first matching rule, preferring one whose view
+pattern is not a bare variable) or some link does (retain case: pick the
+link with the shortest source path, find the unique rule able to generate
+its regions — the current relation first, then the other relations sharing
+the view type — keep the region's content and recurse into the holes).
+Retained regions whose rule belongs to a different source type are wrapped
+by the synthesized conversion chain for the two interchangeable types.
 
-put and check are one traversal (``_sync``) that returns either the new
-source or the first ``CheckFailure``: put raises the failure and check
-reports it, so "put iff check" holds by construction.  Both first type-check
-the view, then the source.  The input links are
-indexed once as a trie over view paths; each step hands the rule's variables
-their sub-tries by walking the rule's view pattern, so a node costs
-O(pattern) however many links there are.  ``get`` appends every link, with
-absolute paths, to one accumulator.  ``divide`` and ``add_v_prefix`` state
-the per-level link slicing of the paper's definitions; the traversal does not
-call them.
+put and check are one traversal (``_sync``).  The input links are indexed
+once as a trie over view paths; each step hands the rule's variables their
+sub-tries by walking the rule's view pattern, so a node costs O(pattern)
+however many links there are.  ``get`` appends every link, with absolute
+paths, to one accumulator.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from dataclasses import dataclass
 
 from .frontend import Relation, Rule, ValidatedProgram, normalize_type_name
 from .schema import IllTyped, PRIMITIVES, check_tree_type
-from .text import render_path, render_pattern
+from .text import render_link, render_path, render_pattern
 from .trees import (
     Link,
     LinkSet,
@@ -82,8 +79,6 @@ class CheckFailure:
         loc = f"at view path {render_path(self.view_path)}"
         out = f"{self.code} {loc}: {self.message}"
         if self.link is not None:
-            from .text import render_link
-
             out += f" [{render_link(self.link)}]"
         return out
 
@@ -94,23 +89,6 @@ class InvalidLinks(EngineError):
     def __init__(self, failure: CheckFailure):
         super().__init__(str(failure))
         self.failure = failure
-
-
-def divide(prefix: Path, ls) -> LinkSet:
-    """Links whose view path starts with ``prefix``, with the prefix stripped."""
-    n = len(prefix)
-    return frozenset(
-        Link(l.source, Region(l.view.pattern, l.view.path[n:]))
-        for l in ls
-        if l.view.path[:n] == prefix
-    )
-
-
-def add_v_prefix(prefix: Path, ls) -> LinkSet:
-    """Inverse of ``divide`` on the view path."""
-    return frozenset(
-        Link(l.source, Region(l.view.pattern, prefix + l.view.path)) for l in ls
-    )
 
 
 def _merge_region(rule_source: Pattern, region: Pattern) -> Pattern | None:
@@ -420,9 +398,54 @@ def _sync(
     return out
 
 
+class Lens:
+    """A lens over untyped cores ``_get(s)`` and ``_try_put(s, v, ls)``.
+
+    A subclass supplies the cores, its source and view types and schemas.
+    """
+
+    def get(self, s: Tree) -> tuple[Tree, LinkSet]:
+        """View of ``s`` plus the links relating source and view regions."""
+        try:
+            check_tree_type(self.source_schema, self.source_type, s)
+        except IllTyped as e:
+            raise IllTypedInput(f"source: {e}") from e
+        return self._get(s)
+
+    def try_put(self, s: Tree, v: Tree, ls) -> Tree | CheckFailure:
+        """put's result, or the failure ``check_explain`` reports, in one pass."""
+        for side, sch, ty, t in (
+            ("view", self.view_schema, self.view_type, v),
+            ("source", self.source_schema, self.source_type, s),
+        ):
+            try:
+                check_tree_type(sch, ty, t)
+            except IllTyped as e:
+                return CheckFailure(f"E-ill-typed-{side}", str(e), ())
+        return self._try_put(s, v, ls)
+
+    def put(self, s: Tree, v: Tree, ls) -> Tree:
+        """New source retaining every linked region; rejects ill-typed inputs and invalid links."""
+        out = self.try_put(s, v, ls)
+        if isinstance(out, CheckFailure):
+            side = out.code.removeprefix("E-ill-typed-")
+            if side != out.code:
+                raise IllTypedInput(f"{side}: {out.message}")
+            raise InvalidLinks(out)
+        return out
+
+    def check(self, s: Tree, v: Tree, ls) -> bool:
+        return self.check_explain(s, v, ls) is None
+
+    def check_explain(self, s: Tree, v: Tree, ls) -> CheckFailure | None:
+        """None when put would succeed, otherwise the first failure found."""
+        out = self.try_put(s, v, ls)
+        return out if isinstance(out, CheckFailure) else None
+
+
 @dataclass
-class LensHandle:
-    """A validated relation plus the derived get/put/check functions."""
+class LensHandle(Lens):
+    """The lens of one relation of a validated program."""
 
     program: ValidatedProgram
     source_type: str
@@ -436,33 +459,12 @@ class LensHandle:
     def view_schema(self):
         return self.program.schema
 
-    def get(self, s: Tree) -> tuple[Tree, LinkSet]:
-        """View of ``s`` plus the links relating source and view regions."""
-        try:
-            check_tree_type(self.program.schema, self.source_type, s)
-        except IllTyped as e:
-            raise IllTypedInput(f"source: {e}") from e
+    def _get(self, s: Tree) -> tuple[Tree, LinkSet]:
         acc: list[Link] = []
         view = _get(self.program, self.source_type, self.view_type, s, (), (), acc)
         return view, frozenset(acc)
 
-    def put(self, s: Tree, v: Tree, ls) -> Tree:
-        """New source retaining every linked region; rejects ill-typed inputs and invalid links."""
-        out = self.try_put(s, v, ls)
-        if isinstance(out, CheckFailure):
-            side = out.code.removeprefix("E-ill-typed-")
-            if side != out.code:
-                raise IllTypedInput(f"{side}: {out.message}")
-            raise InvalidLinks(out)
-        return out
-
-    def try_put(self, s: Tree, v: Tree, ls) -> Tree | CheckFailure:
-        """put's result, or the failure ``check_explain`` reports, in one pass."""
-        for side, ty, t in (("view", self.view_type, v), ("source", self.source_type, s)):
-            try:
-                check_tree_type(self.program.schema, ty, t)
-            except IllTyped as e:
-                return CheckFailure(f"E-ill-typed-{side}", str(e), ())
+    def _try_put(self, s: Tree, v: Tree, ls) -> Tree | CheckFailure:
         return _sync(
             self.program,
             self.source_type,
@@ -475,21 +477,11 @@ class LensHandle:
             None,
         )
 
-    def check(self, s: Tree, v: Tree, ls) -> bool:
-        return self.check_explain(s, v, ls) is None
-
-    def check_explain(self, s: Tree, v: Tree, ls) -> CheckFailure | None:
-        """None when put would succeed, otherwise the first failure found."""
-        out = self.try_put(s, v, ls)
-        return out if isinstance(out, CheckFailure) else None
-
 
 def lens(program: ValidatedProgram, source_type: str, view_type: str) -> LensHandle:
     """Resolve type names and build a handle; the relation must be declared."""
     sty = normalize_type_name(program, source_type)
     vty = normalize_type_name(program, view_type)
-    if sty in PRIMITIVES and sty == vty:
-        return LensHandle(program, sty, vty)
-    if program.relation(sty, vty) is None:
+    if not (sty in PRIMITIVES and sty == vty) and program.relation(sty, vty) is None:
         raise UnknownRelation(f"{sty} <---> {vty}")
     return LensHandle(program, sty, vty)

@@ -166,13 +166,11 @@ class _SchemaBuilder:
         self.schema = Schema()
 
     def declare(self, decl: SynDecl | DataDecl) -> None:
+        if decl.name in self.datas or decl.name in self.syns or decl.name in PRIMITIVES:
+            raise LensSyntaxError(f"type {decl.name} declared twice", decl.line, 1)
         if isinstance(decl, DataDecl):
-            if decl.name in self.datas or decl.name in self.syns or decl.name in PRIMITIVES:
-                raise LensSyntaxError(f"type {decl.name} declared twice", decl.line, 1)
             self.datas[decl.name] = decl
         else:
-            if decl.name in self.datas or decl.name in self.syns or decl.name in PRIMITIVES:
-                raise LensSyntaxError(f"type {decl.name} declared twice", decl.line, 1)
             self.syns[decl.name] = decl.target
 
     def canonical(self, e: TypeExpr, env: dict[str, TypeExpr], line: int, depth: int = 0) -> TypeExpr:

@@ -84,17 +84,13 @@ def _gen(sch: Schema, ty: str, budget: int, rng: random.Random, sizes: dict[str,
     return Node(ctor.name, tuple(children))
 
 
-def _list_shapes(sch: Schema) -> dict[str, tuple[str, str]]:
-    """Types with a Cons/Nil spine shape: type -> (cons name, element type)."""
-    out: dict[str, tuple[str, str]] = {}
+def _list_elements(sch: Schema) -> dict[str, str]:
+    """Types with a cell/nil spine shape: type -> element type."""
+    out: dict[str, str] = {}
     for ty, ctors in sch.types.items():
-        cons = next(
-            (c for c in ctors if len(c.arg_types) == 2 and sch.resolve(c.arg_types[1]) == ty),
-            None,
-        )
-        nil = next((c for c in ctors if not c.arg_types), None)
-        if cons is not None and nil is not None:
-            out[ty] = (cons.name, sch.resolve(cons.arg_types[0]))
+        cell = sch.list_cell(ty)
+        if cell is not None and any(not c.arg_types for c in ctors):
+            out[ty] = sch.resolve(cell.arg_types[0])
     return out
 
 
@@ -117,7 +113,7 @@ def gen_script(
     """Random type-correct edit script; paths are drawn from the evolving view."""
     rng = random.Random(seed)
     ctx = EditContext(sch, view_type)
-    lists = _list_shapes(sch)
+    lists = _list_elements(sch)
     ops: list[EditOp] = []
     state = EditState(view, frozenset())
     for _ in range(length):
@@ -161,8 +157,7 @@ def gen_script(
                 op = Move(frm, to, _gen_budget(sch, dict(positions)[frm], rng))
         elif kind == "insert":
             p, ty, n = spines[rng.randrange(len(spines))]
-            _cons, elem_ty = lists[ty]
-            op = Insert(p, rng.randint(0, n), _gen_budget(sch, elem_ty, rng))
+            op = Insert(p, rng.randint(0, n), _gen_budget(sch, lists[ty], rng))
         else:
             candidates = [(p, n) for p, _, n in spines if n > 0]
             p, n = candidates[rng.randrange(len(candidates))]
@@ -261,6 +256,27 @@ class LawSummary:
         ) + "\n"
 
 
+def _put_or_none(lens, s: Tree, v: Tree, ls):
+    """put's result, or None where put rejects the links."""
+    try:
+        return lens.put(s, v, ls)
+    except InvalidLinks:
+        return None
+
+
+def _edit_verdicts(lens, s: Tree, st: EditState) -> tuple[bool, dict[str, bool]]:
+    """check's answer on the edited view, and the verdicts of the laws that answer calls for."""
+    accepted = lens.check(s, st.view, st.links)
+    s2 = _put_or_none(lens, s, st.view, st.links)
+    if not accepted:
+        return False, {"put_iff_check": s2 is None}
+    if s2 is None:
+        return True, {"correct": False, "retentive": False, "put_iff_check": False}
+    v2, ls2 = lens.get(s2)
+    retentive = fst_projection(st.links) <= fst_projection(ls2)
+    return True, {"correct": v2 == st.view, "retentive": retentive, "put_iff_check": True}
+
+
 def _minimized(lens, s: Tree, v, ls, ops, ctx) -> dict:
     """Shortest failing script prefix, as rendered text."""
     for k in range(len(ops) + 1):
@@ -269,24 +285,13 @@ def _minimized(lens, s: Tree, v, ls, ops, ctx) -> dict:
             st = apply_script(EditState(v, ls), prefix, ctx)
         except Exception:
             break
-        if not _edit_laws_hold(lens, s, st):
+        if not all(_edit_verdicts(lens, s, st)[1].values()):
             return {
                 "source": render_pattern(s),
                 "script": render_script(prefix),
                 "links": render_links(st.links),
             }
     return {"source": render_pattern(s), "script": render_script(ops), "links": ""}
-
-
-def _edit_laws_hold(lens, s: Tree, st: EditState) -> bool:
-    if not lens.check(s, st.view, st.links):
-        return True  # rejected trials make no law claims
-    try:
-        s2 = lens.put(s, st.view, st.links)
-    except InvalidLinks:
-        return False
-    v2, ls2 = lens.get(s2)
-    return v2 == st.view and fst_projection(st.links) <= fst_projection(ls2)
 
 
 def verify_laws(
@@ -314,47 +319,25 @@ def verify_laws(
         report = TrialReport(index=i, seed=trial_seed, verdicts={})
 
         report.verdicts["check_get"] = lens.check(s, v, ls)
-        try:
-            report.verdicts["hippocratic"] = lens.put(s, v, ls) == s
-        except InvalidLinks:
-            report.verdicts["hippocratic"] = False
+        report.verdicts["hippocratic"] = _put_or_none(lens, s, v, ls) == s
 
         if script_len > 0:
             ops = gen_script(lens.view_schema, lens.view_type, v, 1 + trial_seed % script_len, trial_seed + 1)
             st = apply_script(EditState(v, ls), ops, ctx)
-            accepted = lens.check(s, st.view, st.links)
+            accepted, verdicts = _edit_verdicts(lens, s, st)
             report.accepted = accepted
+            report.verdicts.update(verdicts)
             if accepted:
                 summary.accepted += 1
-                try:
-                    s2 = lens.put(s, st.view, st.links)
-                    v2, ls2 = lens.get(s2)
-                    report.verdicts["correct"] = v2 == st.view
-                    report.verdicts["retentive"] = fst_projection(st.links) <= fst_projection(ls2)
-                    report.verdicts["put_iff_check"] = True
-                except InvalidLinks:
-                    report.verdicts["correct"] = False
-                    report.verdicts["retentive"] = False
-                    report.verdicts["put_iff_check"] = False
             else:
                 summary.rejected += 1
-                try:
-                    lens.put(s, st.view, st.links)
-                    report.verdicts["put_iff_check"] = False
-                except InvalidLinks:
-                    report.verdicts["put_iff_check"] = True
-            if not all(report.verdicts.get(k, True) for k in ("correct", "retentive", "put_iff_check")):
+            if not all(verdicts.values()):
                 report.counterexample = _minimized(lens, s, v, ls, ops, ctx)
 
         if adversarial:
             bad = corrupt_links(ls, trial_seed + 2)
             rejected = not lens.check(s, v, bad)
-            try:
-                lens.put(s, v, bad)
-                put_rejected = False
-            except InvalidLinks:
-                put_rejected = True
-            report.verdicts["adversarial"] = rejected and put_rejected
+            report.verdicts["adversarial"] = _put_or_none(lens, s, v, bad) is None and rejected
 
         for law, ok in report.verdicts.items():
             summary.record(law, ok)

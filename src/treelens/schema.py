@@ -68,6 +68,9 @@ class Schema:
 
     types: dict[str, tuple[Constructor, ...]] = field(default_factory=dict)
     synonyms: dict[str, str] = field(default_factory=dict)
+    # ``min_sizes()``, computed on first use (the frontend declares every type
+    # before that) and handed to every caller, so callers must not mutate it.
+    _sizes: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def resolve(self, name: str) -> str:
         if name not in self.synonyms:
@@ -104,8 +107,18 @@ class Schema:
                 return name
         return None
 
+    def list_cell(self, name: str) -> Constructor | None:
+        """The list-cell constructor of ``name``: two arguments, the second of type ``name``."""
+        name = self.resolve(name)
+        for c in self.constructors(name):
+            if len(c.arg_types) == 2 and self.resolve(c.arg_types[1]) == name:
+                return c
+        return None
+
     def min_sizes(self) -> dict[str, int]:
         """Least node count of a value of each type (least fixed point)."""
+        if self._sizes is not None:
+            return self._sizes
         sizes: dict[str, int] = {INT: 1, STRING: 1}
         changed = True
         while changed:
@@ -122,6 +135,7 @@ class Schema:
                 if best is not None and sizes.get(name) != best:
                     sizes[name] = best
                     changed = True
+        self._sizes = sizes
         return sizes
 
 

@@ -152,9 +152,6 @@ class TokenCursor:
             )
         return self.next()
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
     def require_end(self) -> None:
         tok = self.peek()
         if tok is not None:

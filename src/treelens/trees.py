@@ -8,6 +8,11 @@ pattern without holes, so a region's pattern and the tree it is cut from are
 built, compared and rendered the same way.  Links are finite relations
 between (pattern, path) regions of two trees.  All values are immutable and
 freely shareable.
+
+Paths are absolute index tuples.  Sharing their prefixes cannot make a CLI
+round sub-quadratic on spines, because the link text spells out every path:
+get's 386 links on a left-deep sum of 128 terms hold 49,409 path indices and
+render to 114 kB.  Only a new file format could change that.
 """
 
 from __future__ import annotations

@@ -191,6 +191,24 @@ def test_compose_laws(tmp_path, capsys):
     assert "hippocratic: 40/40 ok" in capsys.readouterr().out
 
 
+def test_compose_reports_like_get_and_put(tmp_path, capsys):
+    prog = tmp_path / "mirror.lens"
+    prog.write_text(example_text("mirror.lens"))
+    base = ["compose", "-p", str(prog), "--r1", "BinT Int", "BinT Int", "--r2", "BinT Int", "BinT Int"]
+    assert run(base + ["--get"]) == 1
+    assert capsys.readouterr().err == "usage error: --get needs -i\n"
+    five = tmp_path / "five.tree"
+    five.write_text("5\n")
+    assert run(base + ["--put", "-s", str(five)]) == 1
+    assert capsys.readouterr().err == "usage error: --put needs -s and -v\n"
+    tip = tmp_path / "tip.tree"
+    tip.write_text("Tip\n")
+    assert run(base + ["--put", "-s", str(five), "-v", str(tip)]) == 4
+    assert capsys.readouterr().err == "type error: source: at []: expected BinT Int, found Int\n"
+    assert run(base + ["--get", "-i", str(five)]) == 4
+    assert capsys.readouterr().err == "type error: source: at []: expected BinT Int, found Int\n"
+
+
 def test_edit_untyped_mode(tmp_path):
     # without -p/-r the edit command applies structurally
     prog = _arith(tmp_path)

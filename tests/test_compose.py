@@ -3,6 +3,8 @@ import pytest
 from conftest import example_text
 from treelens import (
     CompositeLens,
+    IntLeaf,
+    StrLeaf,
     fst_projection,
     lens,
     link_compose,
@@ -111,19 +113,87 @@ def test_composite_check_explain_is_one_inner_pass(mirror_twice, monkeypatch):
     with pytest.raises(InvalidLinks) as rejected:
         mirror_twice.put(t, c, bad)
     passes = []
-    real = LensHandle.try_put
+    real = LensHandle._try_put
 
     def counted(self, *args):
         passes.append(self)
         return real(self, *args)
 
     def forbidden(self, *args):
-        raise AssertionError("check_explain ran put")
+        raise AssertionError("check_explain ran an inner lens's put or typed try_put")
 
-    monkeypatch.setattr(LensHandle, "try_put", counted)
+    monkeypatch.setattr(LensHandle, "_try_put", counted)
     monkeypatch.setattr(LensHandle, "put", forbidden)
+    monkeypatch.setattr(LensHandle, "try_put", forbidden)
     f = mirror_twice.check_explain(t, c, bad)
     assert f is not None and f == rejected.value.failure
     assert passes == [mirror_twice.second]
     assert mirror_twice.check_explain(t, c, ls) is None
     assert passes == [mirror_twice.second] * 2 + [mirror_twice.first]
+
+
+def test_composite_types_each_input_once(mirror_twice, monkeypatch):
+    from treelens import engine
+
+    typed = []
+    real = engine.check_tree_type
+
+    def counted(sch, ty, t, *rest):
+        typed.append(t)
+        return real(sch, ty, t, *rest)
+
+    monkeypatch.setattr(engine, "check_tree_type", counted)
+    t = parse_tree("Node 1 Tip Tip")
+    c, ls = mirror_twice.get(t)
+    assert typed == [t]
+    typed.clear()
+    assert mirror_twice.put(t, c, ls) == t
+    assert typed == [c, t]  # the view, then the source
+    typed.clear()
+    assert mirror_twice.check_explain(t, c, ls) is None
+    assert typed == [c, t]
+
+
+def test_composite_reports_an_ill_typed_source(mirror_twice):
+    from treelens.engine import IllTypedInput
+
+    message = "at []: expected BinT Int, found Int"
+    f = mirror_twice.check_explain(IntLeaf(5), parse_tree("Tip"), frozenset())
+    assert (f.code, f.view_path, f.message) == ("E-ill-typed-source", (), message)
+    assert not mirror_twice.check(IntLeaf(5), parse_tree("Tip"), frozenset())
+    with pytest.raises(IllTypedInput) as e:
+        mirror_twice.put(IntLeaf(5), parse_tree("Tip"), frozenset())
+    assert str(e.value) == f"source: {message}"
+
+
+def test_composite_reports_an_ill_typed_view_first(mirror_twice):
+    from treelens.engine import IllTypedInput
+
+    message = "at []: expected BinT Int, found String"
+    f = mirror_twice.check_explain(IntLeaf(5), StrLeaf("x"), frozenset())
+    assert (f.code, f.view_path, f.message) == ("E-ill-typed-view", (), message)
+    with pytest.raises(IllTypedInput) as e:
+        mirror_twice.put(IntLeaf(5), StrLeaf("x"), frozenset())
+    assert str(e.value) == f"view: {message}"
+
+
+def test_composites_nest(mirror, mirror_twice, monkeypatch):
+    from treelens import engine
+
+    m = lens(mirror, "BinT Int", "BinT Int")
+    thrice = CompositeLens(mirror_twice, m)
+    t = parse_tree("Node 1 (Node 2 Tip Tip) (Node 3 Tip Tip)")
+    c, ls = thrice.get(t)
+    assert c == m.get(t)[0]
+    st = swap(EditState(c, ls), (1,), (2,))
+    assert thrice.put(t, st.view, st.links) == parse_tree(
+        "Node 1 (Node 3 Tip Tip) (Node 2 Tip Tip)"
+    )
+    typed = []
+    real = engine.check_tree_type
+    monkeypatch.setattr(engine, "check_tree_type", lambda *a: typed.append(a) or real(*a))
+    assert thrice.check(t, st.view, st.links)
+    assert len(typed) == 2
+    monkeypatch.undo()
+    summary = verify_laws(thrice, 40, size_bound=20, script_len=3, seed=5)
+    assert summary.ok, summary.to_text()

@@ -9,8 +9,6 @@ from treelens import (
     Region,
     StrLeaf,
     Var,
-    divide,
-    add_v_prefix,
     fst_projection,
     lens,
     links_valid,
@@ -133,6 +131,7 @@ def test_put_swap_scenario(arith_expr, demo_cst):
 
     v, ls = arith_expr.get(demo_cst)
     st = swap(EditState(v, ls), (0,), (1,))
+    assert arith_expr.check(demo_cst, st.view, st.links)
     s2 = arith_expr.put(demo_cst, st.view, st.links)
     # the negation region survives, wrapped into the expression slot
     assert s2 == parse_tree(
@@ -193,30 +192,6 @@ def test_check_rejects_dangling_source(arith_term):
     v, ls = arith_term.get(s)
     moved = frozenset(Link(Region(l.source.pattern, (9,)), l.view) for l in ls)
     assert not arith_term.check(s, v, moved)
-
-
-def test_divide_examples():
-    ls = {_link("P", (2,), "Q", (1, 0))}
-    assert divide((1,), ls) == {_link("P", (2,), "Q", (0,))}
-    assert divide((), ls) == frozenset(ls)
-    assert divide((0,), {_link("P", (), "Q", (1,))}) == frozenset()
-
-
-def test_add_v_prefix_examples():
-    ls = frozenset({_link("P", (2,), "Q", (0,))})
-    assert add_v_prefix((1,), ls) == {_link("P", (2,), "Q", (1, 0))}
-    assert add_v_prefix((), ls) == ls
-
-
-def test_divide_add_v_prefix_roundtrip(arith, arith_expr):
-    from treelens.harness import gen_tree
-
-    for seed in range(30):
-        s = gen_tree(arith.schema, "Expr", 30, seed)
-        _, ls = arith_expr.get(s)
-        for prefix in [(), (0,), (1,), (0, 1)]:
-            sub = divide(prefix, ls)
-            assert divide(prefix, add_v_prefix(prefix, sub)) == sub
 
 
 def test_term_in_expr_retention_uses_conversion(arith_expr, demo_cst):
@@ -537,22 +512,3 @@ def test_put_and_check_visit_linearly_many_nodes(arith_expr, monkeypatch):
     for label in ("retain", "rebuild"):
         a, b, c = (counts[label, n] for n in (25, 50, 100))
         assert c - b == 2 * (b - a)  # exactly linear in n
-
-
-def test_engine_never_calls_divide(arith_expr, demo_cst, monkeypatch):
-    from treelens import engine
-    from treelens.edits import EditState, swap
-
-    def forbidden(*args):
-        raise AssertionError("the engine called its spec helper")
-
-    monkeypatch.setattr(engine, "divide", forbidden)
-    monkeypatch.setattr(engine, "add_v_prefix", forbidden)
-    v, ls = arith_expr.get(demo_cst)
-    assert arith_expr.check(demo_cst, v, ls)
-    assert arith_expr.put(demo_cst, v, ls) == demo_cst
-    st = swap(EditState(v, ls), (0,), (1,))
-    assert arith_expr.check(demo_cst, st.view, st.links)
-    arith_expr.put(demo_cst, st.view, st.links)
-    bad = frozenset(ls | {_link("Lit _ _", (9,), "Num _", (0, 0, 0))})
-    assert arith_expr.check_explain(demo_cst, v, bad) is not None

@@ -102,6 +102,52 @@ def test_failure_reporting_carries_minimized_counterexample(arith):
     assert summary.failures[0].counterexample is not None
 
 
+def test_put_iff_check_counterexample_is_the_shortest_prefix(arith):
+    # A lens whose check rejects every view edit while its put accepts the
+    # edits real check accepts: put-iff-check fails on rejected trials, and the
+    # harness must minimize those too.
+    from treelens import render_links
+    from treelens.edits import EditContext, EditState, apply_script, render_script
+
+    h = lens(arith, "Expr", "Arith")
+
+    class Lying:
+        source_type = h.source_type
+        view_type = h.view_type
+        source_schema = h.source_schema
+        view_schema = h.view_schema
+
+        def get(self, s):
+            return h.get(s)
+
+        def check(self, s, v, ls):
+            return h.check(s, v, ls) and v == h.get(s)[0]
+
+        def put(self, s, v, ls):
+            return h.put(s, v, ls)
+
+    lying = Lying()
+    summary = verify_laws(lying, 30, size_bound=25, script_len=4, seed=8, adversarial=False)
+    assert summary.failures
+    ctx = EditContext(arith.schema, "Arith")
+    shortened = linked = 0
+    for f in summary.failures:
+        assert f.failed_laws() == ["put_iff_check"] and f.accepted is False
+        s = gen_tree(arith.schema, "Expr", 25, f.seed)
+        v, ls = h.get(s)
+        ops = gen_script(arith.schema, "Arith", v, 1 + f.seed % 4, f.seed + 1)
+        k = next(k for k in range(len(ops) + 1) if render_script(ops[:k]) == f.counterexample["script"])
+        st = apply_script(EditState(v, ls), ops[:k], ctx)
+        assert f.counterexample["links"] == render_links(st.links)
+        for j in range(k):  # every shorter prefix leaves check and put agreeing
+            sj = apply_script(EditState(v, ls), ops[:j], ctx)
+            assert lying.check(s, sj.view, sj.links) == h.check(s, sj.view, sj.links)
+        assert not lying.check(s, st.view, st.links) and h.check(s, st.view, st.links)
+        shortened += k < len(ops)
+        linked += bool(st.links)
+    assert shortened and linked
+
+
 def test_harness_does_not_mutate_inputs(arith, arith_expr):
     s = gen_tree(arith.schema, "Expr", 30, 77)
     snapshot = s

@@ -159,3 +159,13 @@ def test_min_sizes(arith):
     assert sizes["Arith"] == 2  # Num 0
     assert sizes["Term"] == 3  # Lit "" 0
     assert sizes["Expr"] == 5  # FromT "" (Lit "" 0)
+    assert arith.schema.min_sizes() is sizes  # computed once per schema
+
+
+def test_list_cell(addrbook, arith):
+    sch = addrbook.schema
+    assert sch.list_cell("List Person") == sch.constructor("List Person", "Cons")
+    assert sch.list_cell("List String").name == "Cons"
+    assert sch.list_cell("Person") is None
+    # Only the shape counts: Add's second argument is an Arith, although Arith has no nil.
+    assert arith.schema.list_cell("Arith").name == "Add"
