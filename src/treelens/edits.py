@@ -1,13 +1,13 @@
 """View-edit operations that co-maintain the link set.
 
-Each operation rewrites the view and updates the links between the untouched
-source and the evolving view: links whose view region is destroyed by the
-edit are dropped, links on copied or moved subtrees follow them, and swapped
-prefixes are exchanged.  A link survives an edit under its view path exactly
-when the changed node falls inside one of its region's wildcard holes.
-
-List insert/delete are derived: they expand into the core replace/copy/move
-sequence over the Cons/Nil spine, so their link behaviour is inherited.
+Every operation rewrites the view and updates the links between the untouched
+source and the evolving view by one rule, ``_relink``.  An edit names the view
+paths it cuts (whose content changes) and the subtrees it moves.  A link under
+a moved subtree follows it.  Any other link dies when a cut lies at or above
+its view path, or below it on its region's own material rather than in one of
+the region's wildcard holes.  List ``insert``/``delete`` rebuild the spine
+once: they cut the old tail and every cell from the index on, and move each
+shifted cell by one, so a shifted element keeps its links.
 """
 
 from __future__ import annotations
@@ -82,45 +82,62 @@ class EditContext:
 
 
 def _replace_at(t: Tree, p: Path, sub: Tree) -> Tree:
-    if not p:
-        return sub
-    if not isinstance(t, Node) or p[0] < 0 or p[0] >= len(t.children):
-        raise PathOutOfRange(f"path {list(p)} does not resolve")
-    i = p[0]
-    children = list(t.children)
-    children[i] = _replace_at(children[i], p[1:], sub)
-    return Node(t.ctor, tuple(children))
+    above = []
+    for i in p:
+        if not isinstance(t, Node) or not 0 <= i < len(t.children):
+            raise PathOutOfRange(f"path {list(p)} does not resolve")
+        above.append(t)
+        t = t.children[i]
+    for node, i in zip(reversed(above), reversed(p)):
+        sub = Node(node.ctor, node.children[:i] + (sub,) + node.children[i + 1 :])
+    return sub
 
 
-def _is_prefix(prefix: Path, p: Path) -> bool:
-    return p[: len(prefix)] == prefix
+_CUT, _MOVE = "cut", "move"  # trie marks; path indices are the int keys
 
 
-def _cut_region(pattern: Pattern, rel: Path) -> bool:
-    """Does changing the node at ``rel`` inside this region destroy it?
-
-    Walking the pattern along ``rel``: reaching a wildcard means the change is
-    inside an excluded hole (region intact); exhausting the path on concrete
-    pattern content means the region's own material changed.
-    """
-    cur = pattern
-    for i in rel:
-        if isinstance(cur, Wildcard):
-            return False
-        if isinstance(cur, Node) and 0 <= i < len(cur.children):
-            cur = cur.children[i]
-        else:
-            return False
-    return not isinstance(cur, Wildcard)
-
-
-def _destroyed(l: Link, p: Path) -> bool:
-    vp = l.view.path
-    if _is_prefix(p, vp):
-        return True
-    if _is_prefix(vp, p) and len(vp) < len(p):
-        return _cut_region(l.view.pattern, p[len(vp):])
+def _cut_inside(trie: dict, pattern: Pattern) -> bool:
+    """Is the region's root cut, or a path under it on the pattern's own material?"""
+    stack = [(trie, pattern)]
+    while stack:
+        trie, q = stack.pop()
+        if _CUT in trie:
+            return True
+        if isinstance(q, Node):
+            for i, child in enumerate(q.children):
+                if i in trie and not isinstance(child, Wildcard):
+                    stack.append((trie[i], child))
     return False
+
+
+def _relink(links: LinkSet, cuts: list[Path], moves: Iterable, keep: bool = False) -> LinkSet:
+    """The one link rule of every edit (see the module docstring): each link
+    walks a trie of the edit's paths once, and a move wins over cuts above it."""
+    trie: dict = {}
+    marks = [(p, _CUT, True) for p in cuts] + [(frm, _MOVE, (len(frm), to)) for frm, to in moves]
+    for p, mark, value in marks:
+        node = trie
+        for i in p:
+            node = node.setdefault(i, {})
+        node[mark] = value
+    out = []
+    for l in links:
+        vp, node, cut = l.view.path, trie, False
+        for i in vp:
+            if _MOVE in node:
+                break
+            cut = cut or _CUT in node
+            node = node.get(i)
+            if node is None:
+                break
+        if node is not None and _MOVE in node:
+            depth, to = node[_MOVE]
+            out.append(Link(l.source, Region(l.view.pattern, to + vp[depth:])))
+            if keep:
+                out.append(l)
+        elif not cut and (node is None or not _cut_inside(node, l.view.pattern)):
+            out.append(l)
+    return frozenset(out)
 
 
 def _type_at(ctx: EditContext | None, view: Tree, p: Path) -> str | None:
@@ -142,30 +159,27 @@ def replace(st: EditState, p: Path, t: Tree, ctx: EditContext | None = None) -> 
     """Replace the subtree at ``p``; links overlapping the change are destroyed."""
     sel(st.view, p)
     _check_type(ctx, st.view, p, t)
-    view = _replace_at(st.view, p, t)
-    links = frozenset(l for l in st.links if not _destroyed(l, p))
-    return EditState(view, links)
+    return EditState(_replace_at(st.view, p, t), _relink(st.links, [p], []))
+
+
+def _disjoint(st: EditState, p: Path, q: Path, ctx: EditContext | None, clash: str) -> tuple[Tree, Tree]:
+    """The subtrees at ``p`` and ``q``, which may not overlap and, with a context, share a type."""
+    if q[: len(p)] == p or p[: len(q)] == q:
+        raise OverlappingPaths(f"{list(p)} and {list(q)} overlap")
+    a = sel(st.view, p)
+    b = sel(st.view, q)
+    ta = _type_at(ctx, st.view, p)
+    tb = _type_at(ctx, st.view, q)
+    if ta != tb:
+        raise IllTypedInput(clash.format(ta, tb))
+    return a, b
 
 
 def copy(st: EditState, frm: Path, to: Path, ctx: EditContext | None = None) -> EditState:
     """Copy the subtree at ``frm`` over ``to``, duplicating its links."""
-    if _is_prefix(frm, to) or _is_prefix(to, frm):
-        raise OverlappingPaths(f"{list(frm)} and {list(to)} overlap")
-    sub = sel(st.view, frm)
-    sel(st.view, to)
-    if ctx is not None:
-        src_ty = _type_at(ctx, st.view, frm)
-        dst_ty = _type_at(ctx, st.view, to)
-        if src_ty != dst_ty:
-            raise IllTypedInput(f"cannot copy a {src_ty} over a {dst_ty}")
+    sub, _ = _disjoint(st, frm, to, ctx, "cannot copy a {} over a {}")
     view = _replace_at(st.view, to, sub)
-    kept = [l for l in st.links if not _destroyed(l, to)]
-    dups = [
-        Link(l.source, Region(l.view.pattern, to + l.view.path[len(frm):]))
-        for l in st.links
-        if _is_prefix(frm, l.view.path)
-    ]
-    return EditState(view, frozenset(kept + dups))
+    return EditState(view, _relink(st.links, [to], [(frm, to)], keep=True))
 
 
 def move(
@@ -178,88 +192,93 @@ def move(
 
 def swap(st: EditState, p: Path, q: Path, ctx: EditContext | None = None) -> EditState:
     """Exchange two subtrees and the link view-path prefixes with them."""
-    if _is_prefix(p, q) or _is_prefix(q, p):
-        raise OverlappingPaths(f"{list(p)} and {list(q)} overlap")
-    a = sel(st.view, p)
-    b = sel(st.view, q)
-    if ctx is not None:
-        ta = _type_at(ctx, st.view, p)
-        tb = _type_at(ctx, st.view, q)
-        if ta != tb:
-            raise IllTypedInput(f"cannot swap a {ta} with a {tb}")
+    a, b = _disjoint(st, p, q, ctx, "cannot swap a {} with a {}")
     view = _replace_at(_replace_at(st.view, p, b), q, a)
-    out = []
-    for l in st.links:
-        vp = l.view.path
-        if _is_prefix(p, vp):
-            out.append(Link(l.source, Region(l.view.pattern, q + vp[len(p):])))
-        elif _is_prefix(q, vp):
-            out.append(Link(l.source, Region(l.view.pattern, p + vp[len(q):])))
-        elif _destroyed(l, p) or _destroyed(l, q):
-            continue  # an enclosing region's own content was rearranged
-        else:
-            out.append(l)
-    return EditState(view, frozenset(out))
+    return EditState(view, _relink(st.links, [p, q], [(p, q), (q, p)]))
 
 
-def _spine(view: Tree, list_path: Path) -> tuple[str | None, str, int]:
-    """Return (cons name, terminator name, length) of the spine at ``list_path``."""
+def _spine(view: Tree, list_path: Path) -> tuple[str | None, Tree, list[Tree]]:
+    """Return (cons name, terminator, elements) of the spine at ``list_path``."""
     node = sel(view, list_path)
     cons: str | None = None
-    n = 0
-    while True:
-        if not isinstance(node, Node):
-            raise NotAList(f"no list spine at {list(list_path)}")
-        if len(node.children) == 0:
-            return cons, node.ctor, n
-        if len(node.children) != 2 or (cons is not None and node.ctor != cons):
-            raise NotAList(f"no list spine at {list(list_path)}")
+    elems: list[Tree] = []
+    while isinstance(node, Node) and len(node.children) == 2 and cons in (None, node.ctor):
         cons = node.ctor
-        n += 1
+        elems.append(node.children[0])
         node = node.children[1]
-
-
-def _cons_name_from_ctx(ctx: EditContext | None, view: Tree, list_path: Path) -> str:
-    if ctx is None:
-        raise NotAList("cannot infer the cell constructor of an empty list")
-    ty = _type_at(ctx, view, list_path)
-    assert ty is not None
-    cell = ctx.schema.list_cell(ty)
-    if cell is None:
-        raise NotAList(f"type {ty} has no list cell constructor")
-    return cell.name
+    if not isinstance(node, Node) or node.children:
+        raise NotAList(f"no list spine at {list(list_path)}")
+    return cons, node, elems
 
 
 def _cell(list_path: Path, j: int) -> Path:
     return list_path + (1,) * j + (0,)
 
 
+def _cell_types(ctx: EditContext, view: Tree, list_path: Path, cons: str, n: int) -> list[str]:
+    """Types of cells 0..n-1 by one schema walk down the spine; a list's cell
+    type may change along it, as in ``data P a b = Pr a (P b a) | E``."""
+    sch, ty, cells = ctx.schema, _type_at(ctx, view, list_path), []
+    for _ in range(n):
+        c = sch.constructor(ty, cons)  # type: ignore[arg-type]
+        cells.append(sch.resolve(c.arg_types[0]))  # type: ignore[union-attr]
+        ty = sch.resolve(c.arg_types[1])  # type: ignore[union-attr]
+    return cells
+
+
+def _respine(view: Tree, list_path: Path, cons: str, elems: list[Tree], nil: Tree) -> Tree:
+    """``view`` with the spine at ``list_path`` rebuilt once, from ``elems`` and ``nil``."""
+    spine = nil
+    for e in reversed(elems):
+        spine = Node(cons, (e, spine))
+    return _replace_at(view, list_path, spine)
+
+
 def insert(
     st: EditState, list_path: Path, i: int, elem: Tree, ctx: EditContext | None = None
 ) -> EditState:
     """Insert ``elem`` at position ``i``; shifted elements keep their links."""
-    cons, _nil, n = _spine(st.view, list_path)
+    cons, nil, elems = _spine(st.view, list_path)
+    n = len(elems)
     if not 0 <= i <= n:
         raise IndexOutOfRange(f"insert at {i} in a list of length {n}")
     if cons is None:
-        cons = _cons_name_from_ctx(ctx, st.view, list_path)
-    tail = sel(st.view, list_path + (1,) * n)
-    st = replace(st, list_path + (1,) * n, Node(cons, (elem, tail)), ctx)
-    for j in range(n - 1, i - 1, -1):
-        st = move(st, _cell(list_path, j), _cell(list_path, j + 1), elem, ctx)
-    return replace(st, _cell(list_path, i), elem, ctx)
+        if ctx is None:
+            raise NotAList("cannot infer the cell constructor of an empty list")
+        ty = type_at(ctx.schema, ctx.view_type, st.view, list_path)
+        cell = ctx.schema.list_cell(ty)
+        if cell is None:
+            raise NotAList(f"type {ty} has no list cell constructor")
+        cons = cell.name
+    tail = list_path + (1,) * n
+    if ctx is not None:
+        _check_type(ctx, st.view, tail, Node(cons, (elem, nil)))
+        cells = _cell_types(ctx, st.view, list_path, cons, n + 1)
+        for j in range(n - 1, i - 1, -1):
+            if cells[j] != cells[j + 1]:  # elem fits cells j+1..n: it fits cell n
+                _check_type(ctx, st.view, _cell(list_path, j), elem)
+                raise IllTypedInput(f"cannot copy a {cells[j]} over a {cells[j + 1]}")
+    view = _respine(st.view, list_path, cons, elems[:i] + [elem] + elems[i:], nil)
+    shifted = [_cell(list_path, j) for j in range(i, n + 1)]
+    return EditState(view, _relink(st.links, [tail] + shifted[:-1], zip(shifted, shifted[1:])))
 
 
 def delete(st: EditState, list_path: Path, i: int, ctx: EditContext | None = None) -> EditState:
     """Delete the element at ``i``; its links die, later elements shift down."""
-    _cons, _nil, n = _spine(st.view, list_path)
+    cons, nil, elems = _spine(st.view, list_path)
+    n = len(elems)
     if not 0 <= i < n:
         raise IndexOutOfRange(f"delete at {i} in a list of length {n}")
-    for j in range(i + 1, n):
-        sub = sel(st.view, _cell(list_path, j))
-        st = move(st, _cell(list_path, j), _cell(list_path, j - 1), sub, ctx)
-    tail = sel(st.view, list_path + (1,) * n)
-    return replace(st, list_path + (1,) * (n - 1), tail, ctx)
+    last = list_path + (1,) * (n - 1)
+    if ctx is not None:
+        cells = _cell_types(ctx, st.view, list_path, cons, n)  # type: ignore[arg-type]
+        for j in range(i + 1, n):
+            if cells[j] != cells[j - 1]:
+                raise IllTypedInput(f"cannot copy a {cells[j]} over a {cells[j - 1]}")
+        _check_type(ctx, st.view, last, nil)
+    view = _respine(st.view, list_path, cons, elems[:i] + elems[i + 1 :], nil)  # type: ignore[arg-type]
+    shifted = [_cell(list_path, j) for j in range(i, n)]
+    return EditState(view, _relink(st.links, [last] + shifted, zip(shifted[1:], shifted)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +327,10 @@ EditOp = Union[Replace, Copy, Move, Swap, Insert, Delete]
 
 
 def apply_op(st: EditState, op: EditOp, ctx: EditContext | None = None) -> EditState:
-    if isinstance(op, Replace):
-        return replace(st, op.path, op.tree, ctx)
-    if isinstance(op, Copy):
-        return copy(st, op.frm, op.to, ctx)
-    if isinstance(op, Move):
-        return move(st, op.frm, op.to, op.filler, ctx)
-    if isinstance(op, Swap):
-        return swap(st, op.a, op.b, ctx)
-    if isinstance(op, Insert):
-        return insert(st, op.list_path, op.index, op.elem, ctx)
-    if isinstance(op, Delete):
-        return delete(st, op.list_path, op.index, ctx)
+    """Run ``op`` through the edit function of its keyword, looked up at call time."""
+    for name, (cls, _kinds) in _OPS.items():
+        if isinstance(op, cls):
+            return globals()[name](st, *vars(op).values(), ctx)
     raise EditError(f"unknown operation {op!r}")
 
 
@@ -350,6 +361,23 @@ def _parse_paren_tree(cur: TokenCursor) -> Tree:
     return t
 
 
+# Script argument kinds: (parse, render).
+_PATH = (parse_path_tokens, render_path)
+_INT = (lambda cur: int(cur.expect("INT").text), str)
+_TREE = (_parse_paren_tree, lambda t: f"({render_pattern(t)})")
+
+# The script grammar: keyword -> (op class, argument kinds).  An op's fields are
+# its arguments in order, as are those of the edit function of the same name.
+_OPS = {
+    "replace": (Replace, (_PATH, _TREE)),
+    "copy": (Copy, (_PATH, _PATH)),
+    "move": (Move, (_PATH, _PATH, _TREE)),
+    "swap": (Swap, (_PATH, _PATH)),
+    "insert": (Insert, (_PATH, _INT, _TREE)),
+    "delete": (Delete, (_PATH, _INT)),
+}
+
+
 def parse_script(text: str) -> list[EditOp]:
     """One operation per line; blank lines and ``--`` comments are ignored."""
     ops: list[EditOp] = []
@@ -359,27 +387,10 @@ def parse_script(text: str) -> list[EditOp]:
             continue
         cur = TokenCursor(tokens, lineno)
         head = cur.expect("LIDENT").text
-        if head == "replace":
-            p = parse_path_tokens(cur)
-            t = _parse_paren_tree(cur)
-            ops.append(Replace(p, t))
-        elif head == "copy":
-            ops.append(Copy(parse_path_tokens(cur), parse_path_tokens(cur)))
-        elif head == "move":
-            frm = parse_path_tokens(cur)
-            to = parse_path_tokens(cur)
-            ops.append(Move(frm, to, _parse_paren_tree(cur)))
-        elif head == "swap":
-            ops.append(Swap(parse_path_tokens(cur), parse_path_tokens(cur)))
-        elif head == "insert":
-            p = parse_path_tokens(cur)
-            i = int(cur.expect("INT").text)
-            ops.append(Insert(p, i, _parse_paren_tree(cur)))
-        elif head == "delete":
-            p = parse_path_tokens(cur)
-            ops.append(Delete(p, int(cur.expect("INT").text)))
-        else:
+        if head not in _OPS:
             raise LensSyntaxError(f"unknown edit operation {head!r}", lineno, 1)
+        cls, kinds = _OPS[head]
+        ops.append(cls(*[parse(cur) for parse, _ in kinds]))
         cur.require_end()
     return ops
 
@@ -387,20 +398,8 @@ def parse_script(text: str) -> list[EditOp]:
 def render_script(ops: Iterable[EditOp]) -> str:
     lines = []
     for op in ops:
-        if isinstance(op, Replace):
-            lines.append(f"replace {render_path(op.path)} ({render_pattern(op.tree)})")
-        elif isinstance(op, Copy):
-            lines.append(f"copy {render_path(op.frm)} {render_path(op.to)}")
-        elif isinstance(op, Move):
-            lines.append(
-                f"move {render_path(op.frm)} {render_path(op.to)} ({render_pattern(op.filler)})"
-            )
-        elif isinstance(op, Swap):
-            lines.append(f"swap {render_path(op.a)} {render_path(op.b)}")
-        elif isinstance(op, Insert):
-            lines.append(
-                f"insert {render_path(op.list_path)} {op.index} ({render_pattern(op.elem)})"
-            )
-        elif isinstance(op, Delete):
-            lines.append(f"delete {render_path(op.list_path)} {op.index}")
+        for name, (cls, kinds) in _OPS.items():
+            if isinstance(op, cls):
+                args = [render(a) for (_, render), a in zip(kinds, vars(op).values())]
+                lines.append(" ".join([name, *args]))
     return "".join(line + "\n" for line in lines)

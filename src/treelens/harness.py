@@ -30,6 +30,7 @@ from .edits import (
     Replace,
     Swap,
     _spine,
+    apply_op,
     apply_script,
     render_script,
 )
@@ -135,7 +136,7 @@ def gen_script(
         for p, ty in positions:
             if ty in lists:
                 try:
-                    spines.append((p, ty, _spine(state.view, p)[2]))
+                    spines.append((p, ty, len(_spine(state.view, p)[2])))
                 except NotAList:
                     pass
         if spines:
@@ -162,7 +163,7 @@ def gen_script(
             candidates = [(p, n) for p, _, n in spines if n > 0]
             p, n = candidates[rng.randrange(len(candidates))]
             op = Delete(p, rng.randrange(n))
-        state = apply_script(state, [op], ctx)
+        state = apply_op(state, op, ctx)
         ops.append(op)
     return ops
 

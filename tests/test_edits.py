@@ -1,20 +1,29 @@
 import pytest
 
-from conftest import example_text
+from conftest import EXAMPLES, example_text
 from treelens import (
+    WILDCARD,
+    IntLeaf,
     Link,
+    Node,
     Region,
+    StrLeaf,
+    Var,
+    fill_wildcards,
     fst_projection,
     lens,
     links_valid,
+    load_program,
     parse_pattern,
     parse_tree,
     render_pattern,
+    sel,
 )
 from treelens.edits import (
     Copy,
     Delete,
     EditContext,
+    EditError,
     EditScriptError,
     EditState,
     Insert,
@@ -33,8 +42,12 @@ from treelens.edits import (
     render_script,
     replace,
     swap,
+    _spine,
 )
 from treelens.engine import IllTypedInput
+from treelens.harness import _list_elements, _typed_positions, gen_tree
+from treelens.schema import type_at
+from treelens.trees import MatchFailure, PathOutOfRange
 
 
 def _state(h, s):
@@ -363,3 +376,271 @@ def test_typed_script_rejects_a_hole(books):
 def test_script_paths_accept_spacing():
     ops = parse_script("swap [0, 1] [ 1 ]\ndelete [] 0\n")
     assert ops == [Swap((0, 1), (1,)), Delete((), 0)]
+
+
+# ---------------------------------------------------------------------------
+# insert/delete against the n-move expansion they replace
+
+P_PROGRAM = (
+    "data P a b = Pr a (P b a) | E\n"
+    "P Int String <---> P Int String\n  E ~ E\n  Pr x xs ~ Pr x xs\n"
+    "P String Int <---> P String Int\n  E ~ E\n  Pr x xs ~ Pr x xs\n"
+)
+
+
+def _cell(list_path, j):
+    return list_path + (1,) * j + (0,)
+
+
+def insert_by_moves(st, list_path, i, elem, ctx=None):
+    """Reference: insert as one replace of the tail and n moves over the public ops."""
+    cons, _nil, elems = _spine(st.view, list_path)
+    n = len(elems)
+    if not 0 <= i <= n:
+        raise IndexOutOfRange(f"insert at {i} in a list of length {n}")
+    if cons is None:
+        if ctx is None:
+            raise NotAList("cannot infer the cell constructor of an empty list")
+        ty = type_at(ctx.schema, ctx.view_type, st.view, list_path)
+        if ctx.schema.list_cell(ty) is None:
+            raise NotAList(f"type {ty} has no list cell constructor")
+        cons = ctx.schema.list_cell(ty).name
+    tail = sel(st.view, list_path + (1,) * n)
+    st = replace(st, list_path + (1,) * n, Node(cons, (elem, tail)), ctx)
+    for j in range(n - 1, i - 1, -1):
+        st = move(st, _cell(list_path, j), _cell(list_path, j + 1), elem, ctx)
+    return replace(st, _cell(list_path, i), elem, ctx)
+
+
+def delete_by_moves(st, list_path, i, ctx=None):
+    """Reference: delete as n moves and one replace of the last cell over the public ops."""
+    n = len(_spine(st.view, list_path)[2])
+    if not 0 <= i < n:
+        raise IndexOutOfRange(f"delete at {i} in a list of length {n}")
+    for j in range(i + 1, n):
+        sub = sel(st.view, _cell(list_path, j))
+        st = move(st, _cell(list_path, j), _cell(list_path, j - 1), sub, ctx)
+    tail = sel(st.view, list_path + (1,) * n)
+    return replace(st, list_path + (1,) * (n - 1), tail, ctx)
+
+
+def _outcome(f, *args):
+    try:
+        out = f(*args)
+    except (EditError, PathOutOfRange, IllTypedInput) as e:
+        return type(e), str(e)
+    return out.view, out.links
+
+
+def _link_variants(view, links, spines):
+    """get's links; the same with every wildcard filled from the view; plus stray links."""
+    filled = set()
+    for l in links:
+        try:
+            pattern = fill_wildcards(l.view.pattern, sel(view, l.view.path))
+            filled.add(Link(l.source, Region(pattern, l.view.path)))
+        except (PathOutOfRange, MatchFailure):
+            filled.add(l)
+    stray = set(links)
+    src = Region(StrLeaf("stray"), ())
+    cons_pat = Node("Cons", (WILDCARD, WILDCARD))
+    for p, _ty, n in spines:
+        for k, pat in ((n, Node("Nil", ())), (n + 1, WILDCARD), (max(n - 1, 0), cons_pat)):
+            stray.add(Link(src, Region(pat, p + (1,) * k)))
+        for k, suffix in ((0, (0, 1)), (n, (0,)), (n // 2, (0, 0, 2)), (n // 2, ())):
+            stray.add(Link(src, Region(Var("x"), p + (1,) * k + suffix)))
+    return [links, frozenset(filled), frozenset(stray)]
+
+
+def _compare_list_ops(st, ctx, list_path, n, elems):
+    for c in (None, ctx):
+        for i in range(n + 2):
+            for elem in elems:
+                expected = _outcome(insert_by_moves, st, list_path, i, elem, c)
+                assert _outcome(insert, st, list_path, i, elem, c) == expected, (list_path, i, elem, c)
+            expected = _outcome(delete_by_moves, st, list_path, i, c)
+            assert _outcome(delete, st, list_path, i, c) == expected, (list_path, i, c)
+
+
+def _shipped_relations():
+    for f in sorted(EXAMPLES.glob("*.lens")):
+        vp = load_program(f.read_text(encoding="utf-8"), f.name)
+        for r in vp.relations:
+            yield vp, r.source_type, r.view_type
+
+
+def test_list_ops_match_the_move_expansion_on_every_shipped_spine():
+    compared = 0
+    for vp, sty, vty in _shipped_relations():
+        h = lens(vp, sty, vty)
+        lists = _list_elements(vp.schema)
+        ctx = EditContext(vp.schema, h.view_type)
+        for seed in range(6):
+            v, ls = h.get(gen_tree(vp.schema, h.source_type, 30, seed))
+            spines = []
+            for p, ty in _typed_positions(vp.schema, h.view_type, v):
+                try:
+                    spines.append((p, ty, len(_spine(v, p)[2])))
+                except NotAList:  # e.g. Add cells ending in a Num
+                    pass
+            for links in _link_variants(v, ls, spines):
+                for p, ty, n in spines:
+                    elem = gen_tree(vp.schema, lists[ty], 6, seed) if ty in lists else IntLeaf(0)
+                    elems = [elem, IntLeaf(7), StrLeaf("q")]
+                    _compare_list_ops(EditState(v, links), ctx, p, n, elems)
+                    compared += 1
+    assert compared > 100
+
+
+def test_list_ops_match_the_move_expansion_on_longer_lists(addrbook, books):
+    h, book, st, ctx = books
+    views = [(st, ctx), _group_view(addrbook, 9)]
+    for st, ctx in views:
+        lists = _list_elements(ctx.schema)
+        spines = []
+        for p, ty in _typed_positions(ctx.schema, ctx.view_type, st.view):
+            if ty in lists:
+                spines.append((p, ty, len(_spine(st.view, p)[2])))
+        assert max(n for _, _, n in spines) >= 2
+        for links in _link_variants(st.view, st.links, spines):
+            for p, ty, n in spines:
+                elem = gen_tree(ctx.schema, lists[ty], 8, n)
+                _compare_list_ops(EditState(st.view, links), ctx, p, n, [elem, StrLeaf("q")])
+
+
+def test_list_ops_match_the_move_expansion_where_cell_types_alternate():
+    prog = load_program(P_PROGRAM, "p.lens")
+    h = lens(prog, "P Int String", "P Int String")
+    ctx = EditContext(prog.schema, h.view_type)
+    for n in range(6):
+        t = Node("E", ())
+        for j in range(n - 1, -1, -1):
+            t = Node("Pr", (IntLeaf(j) if j % 2 == 0 else StrLeaf(str(j)), t))
+        v, ls = h.get(t)
+        for links in (ls, frozenset()):
+            _compare_list_ops(EditState(v, links), ctx, (), n, [IntLeaf(5), StrLeaf("s"), Node("E", ())])
+
+
+def test_delete_reports_a_cell_type_change_along_the_spine():
+    prog = load_program(P_PROGRAM, "p.lens")
+    h = lens(prog, "P Int String", "P Int String")
+    ctx = EditContext(prog.schema, h.view_type)
+    v, ls = h.get(parse_tree('Pr 1 (Pr "a" E)'))
+    with pytest.raises(EditScriptError) as e:
+        apply_script(EditState(v, ls), parse_script("delete [] 0\n"), ctx)
+    assert str(e.value.cause) == "cannot copy a String over a Int"
+    out = delete(EditState(v, ls), (), 0)  # untyped, the shift goes through
+    assert out.view == parse_tree('Pr "a" E')
+
+
+# ---------------------------------------------------------------------------
+# Work: one relink per list op
+
+
+def _group_view(addrbook, n):
+    h = lens(addrbook, "AddrGroup", "SocialGroup")
+    spine = Node("Nil", ())
+    for j in range(n - 1, -1, -1):
+        person = Node("Person", (Node("Triple", (StrLeaf(f"p{j}"), StrLeaf("e"), StrLeaf("t"))),))
+        spine = Node("Cons", (person, spine))
+    v, ls = h.get(Node("AddrGroup", (StrLeaf("g"), spine)))
+    return EditState(v, ls), EditContext(addrbook.schema, "SocialGroup")
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_head_insert_relinks_once_and_builds_only_the_moved_links(addrbook, monkeypatch, n):
+    from treelens import edits
+
+    st, ctx = _group_view(addrbook, n)
+    under_a_cell = [l for l in st.links if l.view.path[:1] == (1,) and 0 in l.view.path[1:]]
+    assert len(under_a_cell) == 2 * n  # the Person and Triple links of each name
+    calls = {"relink": 0, "links": 0}
+    real_relink, real_link = edits._relink, edits.Link
+
+    def relink(*args, **kwargs):
+        calls["relink"] += 1
+        return real_relink(*args, **kwargs)
+
+    def link(*args):
+        calls["links"] += 1
+        return real_link(*args)
+
+    def banned(*args, **kwargs):
+        raise AssertionError("a list op expanded into the core ops")
+
+    monkeypatch.setattr(edits, "_relink", relink)
+    monkeypatch.setattr(edits, "Link", link)
+    for name in ("move", "copy", "replace"):
+        monkeypatch.setattr(edits, name, banned)
+    out = edits.insert(st, (1,), 0, StrLeaf("new"), ctx)
+    assert calls == {"relink": 1, "links": len(under_a_cell)}
+    assert len(out.links) == len(st.links) - 1  # only the Nil link died
+    calls["relink"] = calls["links"] = 0
+    edits.delete(out, (1,), 0, ctx)
+    assert calls == {"relink": 1, "links": len(under_a_cell)}
+
+
+# ---------------------------------------------------------------------------
+# Long lists: no recursion per path index
+
+
+def test_edits_on_a_2000_element_list(addrbook):
+    n = 2000
+    spine = Node("Nil", ())
+    for j in range(n - 1, -1, -1):
+        spine = Node("Cons", (StrLeaf(f"n{j}"), spine))
+    view = Node("SocialGroup", (StrLeaf("g"), spine))
+    marked = (0, 1499, 1500, 1998, 1999)
+    links = frozenset(
+        Link(Region(StrLeaf(f"s{j}"), (j,)), Region(StrLeaf(f"n{j}"), _cell((1,), j))) for j in marked
+    )
+    st = EditState(view, links)
+    ctx = EditContext(addrbook.schema, "SocialGroup")
+
+    def at(state, j):
+        return sel(state.view, _cell((1,), j))
+
+    def path_of(state, j):
+        (l,) = [l for l in state.links if l.source.pattern == StrLeaf(f"s{j}")]
+        return l.view.path
+
+    out = swap(st, _cell((1,), 1500), _cell((1,), 1999), ctx)
+    assert at(out, 1500) == StrLeaf("n1999") and at(out, 1999) == StrLeaf("n1500")
+    assert path_of(out, 1999) == _cell((1,), 1500) and path_of(out, 1500) == _cell((1,), 1999)
+
+    out = replace(st, _cell((1,), 1999), StrLeaf("x"), ctx)
+    assert at(out, 1999) == StrLeaf("x") and at(out, 1998) == StrLeaf("n1998")
+    assert len(out.links) == len(links) - 1
+
+    for c in (None, ctx):
+        out = insert(st, (1,), 1500, StrLeaf("x"), c)
+        assert len(_spine(out.view, (1,))[2]) == n + 1
+        assert at(out, 1500) == StrLeaf("x") and at(out, 2000) == StrLeaf("n1999")
+        assert [path_of(out, j) for j in marked] == [_cell((1,), j) for j in (0, 1499, 1501, 1999, 2000)]
+
+        out = delete(st, (1,), 1500, c)
+        assert len(_spine(out.view, (1,))[2]) == n - 1
+        assert at(out, 1500) == StrLeaf("n1501") and at(out, 1998) == StrLeaf("n1999")
+        assert len(out.links) == len(links) - 1
+        kept = (0, 1499, 1998, 1999)
+        assert [path_of(out, j) for j in kept] == [_cell((1,), j) for j in (0, 1499, 1997, 1998)]
+
+
+# ---------------------------------------------------------------------------
+# The op table
+
+
+def test_apply_op_calls_the_edit_functions_through_the_module(books, monkeypatch):
+    from treelens import edits
+
+    h, book, st, ctx = books
+    seen = []
+    for name in ("replace", "copy", "move", "swap", "insert", "delete"):
+        real = getattr(edits, name)
+        monkeypatch.setattr(edits, name, lambda *a, _n=name, _f=real: seen.append(_n) or _f(*a))
+    ops = parse_script(
+        'replace [0,0,0] ("x")\ncopy [0,0,0] [0,1,0,0]\nmove [0,0,0] [0,1,0,0] ("y")\n'
+        "swap [0,0] [0,1,0]\ninsert [0,0,1] 0 (\"z\")\ndelete [0,0,1] 0\n"
+    )
+    apply_script(st, ops, ctx)
+    assert seen == ["replace", "copy", "move", "copy", "replace", "swap", "insert", "delete"]

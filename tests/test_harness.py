@@ -153,3 +153,30 @@ def test_harness_does_not_mutate_inputs(arith, arith_expr):
     snapshot = s
     verify_laws(arith_expr, 5, size_bound=20, script_len=2, seed=77)
     assert s == snapshot
+
+
+def test_gen_script_does_not_typecheck_the_whole_view_per_op(addrbook, monkeypatch):
+    # The generated ops keep the view well-typed, so only what an op puts in
+    # is checked; the view gen_script is working on is never walked again.
+    from treelens import edits, harness
+
+    h = lens(addrbook, "AddrBook", "SocialBook")
+    v, _ = h.get(parse_tree(example_text("addrbook.tree").strip()))
+    current, walked = [], []
+    real_positions, real_check = harness._typed_positions, edits.check_tree_type
+
+    def positions(sch, ty, view):
+        current.append(view)
+        return real_positions(sch, ty, view)
+
+    def check(sch, ty, t, *rest):
+        walked.append(t)
+        assert t is not current[-1], "an op type-checked the whole view"
+        return real_check(sch, ty, t, *rest)
+
+    monkeypatch.setattr(harness, "_typed_positions", positions)
+    monkeypatch.setattr(edits, "check_tree_type", check)
+    for seed in range(40):
+        gen_script(addrbook.schema, "SocialBook", v, 5, seed)
+    assert len(current) == 200 and walked
+    assert max(tree_size(t) for t in walked) < tree_size(v)
