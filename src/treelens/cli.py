@@ -9,6 +9,7 @@ error.  Diagnostics go to standard error as ``file:line:col: code: message``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path as FsPath
 
@@ -38,6 +39,7 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage(message)
 
 
+@functools.cache  # one parser per process; parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     top = _Parser(prog="treelens", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

@@ -6,7 +6,9 @@ get runs both gets and composes the link relations; its put threads links
 through the middle type: derive intermediate links for the inner put from the
 input links and the first get's links, run the inner put, re-read the updated
 middle's links, and use their composition with the input links to drive the
-outer put.
+outer put.  An input link threads when its source region is the source
+region of one of the first get's links; put rejects any other input link
+with ``E-unthreaded-link``, naming that link, instead of dropping it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import CheckFailure, Lens
-from .trees import LinkSet, Tree, link_compose, link_converse
+from .trees import Link, LinkSet, Tree, canonical_links, link_compose, link_converse
 
 
 class CompositionTypeError(Exception):
@@ -59,7 +61,20 @@ class CompositeLens(Lens):
     def _try_put(self, a: Tree, c2: Tree, ls_ac2) -> Tree | CheckFailure:
         ls_ac2 = frozenset(ls_ac2)
         b, ls_ab = self.first._get(a)
-        ls_bc2 = link_converse(link_compose(link_converse(ls_ac2), ls_ab))
+        middle: dict = {}  # source region of the first get -> its middle regions
+        for l in ls_ab:
+            middle.setdefault(l.source, []).append(l.view)
+        unthreaded = [l for l in ls_ac2 if l.source not in middle]
+        if unthreaded:
+            l = canonical_links(unthreaded)[0]
+            return CheckFailure(
+                "E-unthreaded-link",
+                "no link of the first lens's get has this source region",
+                l.view.path,
+                l,
+            )
+        # The input links carried to the middle: converse(compose(converse(ls_ac2), ls_ab)).
+        ls_bc2 = frozenset(Link(m, l.view) for l in ls_ac2 for m in middle[l.source])
         b2 = self.second._try_put(b, c2, ls_bc2)
         if isinstance(b2, CheckFailure):
             return b2

@@ -20,8 +20,8 @@ from .schema import IllTyped, Schema, check_tree_type, type_at
 from .text import (
     LensSyntaxError,
     TokenCursor,
-    parse_pattern_tokens,
     parse_path_tokens,
+    parse_term,
     render_path,
     render_pattern,
     tokenize,
@@ -356,7 +356,7 @@ def apply_script(st: EditState, script: Iterable[EditOp], ctx: EditContext | Non
 
 def _parse_paren_tree(cur: TokenCursor) -> Tree:
     cur.expect("LPAR")
-    t = parse_pattern_tokens(cur, allow_vars=False)
+    t = parse_term(cur, allow_vars=False)
     cur.expect("RPAR")
     return t
 

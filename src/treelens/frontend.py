@@ -29,7 +29,7 @@ from .schema import (
     check_tree_type,
     fill_wildcards_default,
 )
-from .text import LensSyntaxError, Token, TokenCursor, parse_pattern_tokens, render_pattern, tokenize
+from .text import LensSyntaxError, Token, TokenCursor, parse_term, render_pattern, tokenize
 from .trees import (
     Node,
     Path,
@@ -302,9 +302,9 @@ def parse_program(text: str, source_name: str = "<program>") -> Program:
         if any(t.kind == "TILDE" for t in tokens):
             if not headers:
                 raise LensSyntaxError("rule before any relation header", lineno, first.col)
-            spat = parse_pattern_tokens(cur, allow_vars=True)
+            spat = parse_term(cur, allow_vars=True)
             cur.expect("TILDE")
-            vpat = parse_pattern_tokens(cur, allow_vars=True)
+            vpat = parse_term(cur, allow_vars=True)
             cur.require_end()
             pending_rules[-1].append(RawRule(spat, vpat, lineno))
             continue

@@ -46,6 +46,21 @@ def test_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_command(tmp_path, capsys, monkeypatch):
+    from treelens import cli
+
+    parser = cli._build_parser()
+    built = []
+    real = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **k: built.append(1) or real(self, *a, **k))
+    prog = _arith(tmp_path)
+    assert run(["validate", prog]) == 0
+    assert run(["get"]) == 1  # a usage error leaves the parser as it was
+    assert run(["validate", prog]) == 0
+    assert built == [] and cli._build_parser() is parser
+    capsys.readouterr()
+
+
 def test_get_put_file_roundtrip(tmp_path):
     prog = _arith(tmp_path)
     src = tmp_path / "src.tree"

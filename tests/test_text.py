@@ -1,10 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recursive_reader as rr
+from conftest import example_text
 from treelens import (
     IntLeaf,
+    Link,
     Node,
+    Region,
     StrLeaf,
     WILDCARD,
     Var,
@@ -17,7 +23,9 @@ from treelens import (
     render_path,
     render_pattern,
 )
-from treelens.text import LensSyntaxError, read_tree_file, write_tree_file
+from treelens.edits import parse_script
+from treelens.frontend import parse_program
+from treelens.text import LensSyntaxError, _decode_path, read_tree_file, tokenize, write_tree_file
 
 
 def _lit(s, i):
@@ -215,3 +223,202 @@ def test_malformed_path_in_link_file(line, message):
     with pytest.raises(LensSyntaxError) as e:
         parse_links("-- header\n" + line + "\n")
     assert str(e.value) == message.replace("1:", "2:", 1)
+
+
+# ---------------------------------------------------------------------------
+# The path cache and the iterative reader, against the recursive reader it
+# replaced (``recursive_reader``).
+
+_PIECES = st.text(alphabet=" \t-0123456789", max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_PIECES, min_size=1, max_size=5), max_size=4), st.randoms())
+def test_cached_path_decode_matches_int_per_index(chains, rnd):
+    # Each chain lists a body and its comma prefixes, so a body's parent is
+    # often in the cache: well formed, failed, empty or blank.
+    bodies = [",".join(parts[:k]) for parts in chains for k in range(1, len(parts) + 1)]
+    rnd.shuffle(bodies)
+    paths: dict = {}
+    for body in bodies + bodies:
+        try:
+            expected = rr.decode_path(body)
+        except ValueError:
+            expected = None
+        assert _decode_path(body, paths) == expected, body
+
+
+@pytest.mark.parametrize("body", ["   ,5", ",5", " ", "", "1,,2", "0,-1", "007, 8 ", "-,1", "1, -"])
+def test_cached_path_decode_after_its_parent(body):
+    paths: dict = {}
+    parent = body[: body.rfind(",")] if "," in body else body
+    _decode_path(parent, paths)
+    try:
+        expected = rr.decode_path(body)
+    except ValueError:
+        expected = None
+    assert _decode_path(body, paths) == expected
+
+
+_ALPHABET = '()[],@<->_"\\ 0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz~|=-'
+
+
+def _outcome(f, *args):
+    try:
+        return ("ok", f(*args))
+    except LensSyntaxError as e:
+        return ("error", str(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=_ALPHABET + "\t", max_size=40))
+def test_tokens_match_the_recursive_readers_tokens(line):
+    assert _outcome(tokenize, line, 3) == _outcome(rr.tokenize, line, 3)
+
+
+def _mutants(text: str, count: int, seed: int):
+    """``count`` single-character inserts, deletes and replacements of ``text``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice(_ALPHABET)
+        op = rng.randrange(3)
+        if op == 0 or i == len(text):
+            yield text[:i] + c + text[i:]
+        elif op == 1:
+            yield text[:i] + text[i + 1 :]
+        else:
+            yield text[:i] + c + text[i + 1 :]
+
+
+def _link_corpus(arith, arith_expr):
+    from treelens.harness import gen_tree
+
+    texts = [render_links(arith_expr.get(gen_tree(arith.schema, "Expr", 12, seed))[1]) for seed in range(3)]
+    texts.append('-- note\n(P "a \\"q\\" b" _ @ [ 1 , 2 ]) <-> (Q (R x) -3 @ [])  -- tail\n\n')
+    return texts
+
+
+def test_link_files_parse_as_the_recursive_reader_does(arith, arith_expr):
+    for k, text in enumerate(_link_corpus(arith, arith_expr)):
+        for mutant in _mutants(text, 600, k):
+            assert _outcome(parse_links, mutant) == _outcome(rr.parse_links, mutant), mutant
+
+
+def test_tree_files_parse_as_the_recursive_reader_does():
+    texts = [
+        example_text("arith_cst.tree"),
+        example_text("addrbook.tree"),
+        '(Node 1 (Node -2 Tip Tip) Tip)  -- c\n',
+        '\n"str \\\\ x"\n\n',
+    ]
+    for k, text in enumerate(texts):
+        for mutant in _mutants(text, 600, k):
+            assert _outcome(read_tree_file, mutant) == _outcome(rr.read_tree_file, mutant), mutant
+
+
+def _with_recursive_reader(module, f, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "tokenize", rr.tokenize)
+        mp.setattr(module, "TokenCursor", rr.TokenCursor)
+        mp.setattr(module, "parse_term", rr.parse_term)
+        return _outcome(f, *args)
+
+
+def _rules(program):
+    return [(r.source, r.view, r.line) for rel in program.relations for r in rel.rules]
+
+
+@pytest.mark.parametrize("name", ["arith.lens", "sugarlang.lens", "mirror.lens", "compose_chain.lens"])
+def test_rule_patterns_parse_as_the_recursive_reader_does(name):
+    from treelens import frontend
+
+    text = example_text(name)
+    lines = text.splitlines(keepends=True)
+    rule_lines = [i for i, line in enumerate(lines) if "~" in line]
+    for k, i in enumerate(rule_lines):
+        for mutant in _mutants(lines[i], 80, k):
+            program = "".join(lines[:i] + [mutant] + lines[i + 1 :])
+            new = _outcome(lambda t: _rules(parse_program(t)), program)
+            old = _with_recursive_reader(frontend, lambda t: _rules(parse_program(t)), program)
+            assert new == old, mutant
+
+
+@pytest.mark.parametrize("name", ["addrbook_update.edits", "arith_swap.edits"])
+def test_script_trees_parse_as_the_recursive_reader_does(name):
+    from treelens import edits
+
+    text = example_text(name) + 'replace [0,1] (Plus "x \\" y" (Lit "" -1) (Neg "" (Lit "" 2)))\n'
+    for mutant in _mutants(text, 800, len(name)):
+        assert _outcome(parse_script, mutant) == _with_recursive_reader(edits, parse_script, mutant), mutant
+
+
+# ---------------------------------------------------------------------------
+# Depth: the reader and writer loop, so nesting is bounded by memory.  These
+# round trips compare text, because the dataclass ``==`` still recurses.
+
+N_DEEP = 2000
+
+
+def _deep_sum_text(n):
+    return (
+        'Plus "" (' * (n - 1)
+        + 'FromT "" (Lit "" 0)'
+        + "".join(f') (Lit "" {i})' for i in range(1, n))
+        + "\n"
+    )
+
+
+def _long_book_text(n):
+    person = '(Cons (Person (Triple "n{}" "e" "t")) '
+    return (
+        'AddrBook (Cons (AddrGroup "g" '
+        + "".join(person.format(j) for j in range(n))
+        + "Nil"
+        + ")" * n
+        + ") Nil)\n"
+    )
+
+
+@pytest.mark.parametrize("text", [_deep_sum_text(N_DEEP), _long_book_text(N_DEEP)], ids=["sum", "book"])
+def test_deep_tree_file_roundtrip(text):
+    assert write_tree_file(read_tree_file(text)) == text
+
+
+def test_deep_tree_file_reads_what_the_writer_wrote(addrbook):
+    from treelens import check_tree_type
+
+    t = read_tree_file(_long_book_text(N_DEEP))
+    check_tree_type(addrbook.schema, "AddrBook", t)
+    assert render_pattern(t).count("Person") == N_DEEP
+
+
+def _roundtrip_links(ls):
+    text = render_links(ls)
+    back = parse_links(text)
+    assert render_links(back) == text
+    pairs = lambda s: sorted((l.source.path, l.view.path) for l in s)  # noqa: E731
+    assert pairs(back) == pairs(ls)
+    return text
+
+
+def test_deep_sum_links_roundtrip():
+    # The spine links of get on the left-deep sum, and the deepest literal's.
+    plus, add = parse_pattern('Plus "" _ _'), parse_pattern("Add _ _")
+    lit, num = parse_pattern('Lit "" _'), parse_pattern("Num _")
+    ls = {Link(Region(plus, (1,) * k), Region(add, (0,) * k)) for k in range(N_DEEP - 1)}
+    ls.add(Link(Region(lit, (1,) * (N_DEEP - 1) + (1,)), Region(num, (0,) * (N_DEEP - 1))))
+    text = _roundtrip_links(frozenset(ls))
+    assert text.count("\n") == N_DEEP
+
+
+def test_long_list_links_roundtrip():
+    # Every cell of one group's person list, and every hundredth person.
+    cons, triple = parse_pattern("Cons _ _"), parse_pattern('Triple _ "e" "t"')
+    ls = set()
+    for j in range(N_DEEP):
+        spine = (0, 0, 1) + (1,) * j
+        ls.add(Link(Region(cons, spine), Region(cons, spine)))
+        if j % 100 == 99:
+            ls.add(Link(Region(triple, spine + (0, 0)), Region(WILDCARD, spine + (0,))))
+    _roundtrip_links(frozenset(ls))
