@@ -8,12 +8,14 @@ input links and the first get's links, run the inner put, re-read the updated
 middle's links, and use their composition with the input links to drive the
 outer put.  An input link threads when its source region is the source
 region of one of the first get's links; put rejects any other input link
-with ``E-unthreaded-link``, naming that link, instead of dropping it.
+with ``E-unthreaded-link``, naming that link, instead of dropping it.  When
+a threaded link fails in the second lens, the failure names the input link
+it was carried from, not the derived middle link.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .engine import CheckFailure, Lens
 from .trees import Link, LinkSet, Tree, canonical_links, link_compose, link_converse
@@ -73,10 +75,13 @@ class CompositeLens(Lens):
                 l.view.path,
                 l,
             )
-        # The input links carried to the middle: converse(compose(converse(ls_ac2), ls_ab)).
-        ls_bc2 = frozenset(Link(m, l.view) for l in ls_ac2 for m in middle[l.source])
-        b2 = self.second._try_put(b, c2, ls_bc2)
+        # The input links carried to the middle, converse(compose(converse(ls_ac2), ls_ab)),
+        # each mapped to the input link it carries.
+        origin = {Link(m, l.view): l for l in ls_ac2 for m in middle[l.source]}
+        b2 = self.second._try_put(b, c2, frozenset(origin))
         if isinstance(b2, CheckFailure):
+            if b2.link in origin:
+                return replace(b2, link=origin[b2.link])
             return b2
         _, ls_b2c2 = self.second._get(b2)
         ls_ab2 = link_compose(ls_ac2, link_converse(ls_b2c2))

@@ -18,11 +18,23 @@ the view type — keep the region's content and recurse into the holes).
 Retained regions whose rule belongs to a different source type are wrapped
 by the synthesized conversion chain for the two interchangeable types.
 
+The rules never change once the program loads, so they are not interpreted
+here: each carries a ``RulePlan`` compiled at validation (``treelens.plan``)
+that matches, binds, builds regions and rebuilds trees for that rule, and
+whose variables already hold the relation they recurse into.  The rules
+that can generate a link are looked up by (view type, view region) in one
+per-program table.
+
 put and check are one traversal (``_sync``).  The input links are indexed
 once as a trie over view paths; each step hands the rule's variables their
-sub-tries by walking the rule's view pattern, so a node costs O(pattern)
-however many links there are.  ``get`` appends every link, with absolute
-paths, to one accumulator.
+sub-tries by walking the rule's view pattern.  The trie, and the source
+subtree each retained link names, are reached through per-call dicts keyed
+by path prefix, so a path is one step from its nearest resolved ancestor,
+not a walk from the root.  A view node thus costs O(1) plan steps plus O(1)
+prefix-map steps per link ending there, however deep it is and however many
+links there are; only building, hashing and slicing the path tuples
+themselves, in C, still grows with depth.  ``get`` appends every link, with
+absolute paths, to one accumulator.
 """
 
 from __future__ import annotations
@@ -37,20 +49,12 @@ from .trees import (
     LinkSet,
     Node,
     Path,
-    Pattern,
     Region,
     Tree,
     Var,
-    Wildcard,
-    decompose,
-    erase_vars,
-    fill_wildcards,
-    is_ground,
     is_match,
     pattern_key,
     reconstruct,
-    sel,
-    PathOutOfRange,
 )
 
 
@@ -91,40 +95,11 @@ class InvalidLinks(EngineError):
         self.failure = failure
 
 
-def _merge_region(rule_source: Pattern, region: Pattern) -> Pattern | None:
-    """Fill the wildcards of ``rule_source`` from ``region`` if shapes agree.
-
-    ``region`` must look like the rule's source pattern after a match: a
-    wildcard exactly at each variable position and ground content at each
-    wildcard position.  Returns the rule pattern with its wildcards replaced
-    by that ground content (variables kept), or None when incompatible.
-    """
-    if isinstance(rule_source, Var):
-        return rule_source if isinstance(region, Wildcard) else None
-    if isinstance(rule_source, Wildcard):
-        return region if is_ground(region) else None
-    if not isinstance(rule_source, Node):
-        return rule_source if region == rule_source else None
-    if not (
-        isinstance(region, Node)
-        and region.ctor == rule_source.ctor
-        and len(region.children) == len(rule_source.children)
-    ):
-        return None
-    merged = []
-    for a, b in zip(rule_source.children, region.children):
-        m = _merge_region(a, b)
-        if m is None:
-            return None
-        merged.append(m)
-    return Node(rule_source.ctor, tuple(merged))
-
-
 def _select_rebuild_rule(rel: Relation, v: Tree) -> Rule | None:
     """First rule whose view pattern matches ``v``, preferring non-bare ones."""
     first_bare: Rule | None = None
     for rule in rel.rules:
-        if is_match(rule.view, v):
+        if rule.plan.match_view(v):
             if rule.bare_view_var is None:
                 return rule
             if first_bare is None:
@@ -134,8 +109,8 @@ def _select_rebuild_rule(rel: Relation, v: Tree) -> Rule | None:
 
 def _generating_rules(
     vp: ValidatedProgram, sty: str, vty: str, l: Link
-) -> list[tuple[Relation, Rule, Pattern]]:
-    """Rules able to generate link ``l`` at view type ``vty``.
+) -> list[tuple[Relation, Rule, list[Tree]]]:
+    """Rules able to generate link ``l`` at view type ``vty``, each with its wildcard fills.
 
     The current relation's rules take precedence: a link produced here by get
     always resolves to them (uniquely, by source disjointness).  Only when the
@@ -144,14 +119,11 @@ def _generating_rules(
     case, which a conversion must then bridge.
     """
     current, foreign = [], []
-    for rel in vp.relations_with_view(vty):
-        for rule in rel.rules:
-            if rule.view_erased != l.view.pattern:
-                continue
-            merged = _merge_region(rule.source, l.source.pattern)
-            if merged is not None:
-                bucket = current if rel.source_type == sty else foreign
-                bucket.append((rel, rule, merged))
+    for rel, rule in vp.generators.get((vty, l.view.pattern), ()):
+        fills = rule.plan.merge(l.source.pattern)
+        if fills is not None:
+            bucket = current if rel.source_type == sty else foreign
+            bucket.append((rel, rule, fills))
     return current if current else foreign
 
 
@@ -164,6 +136,34 @@ def _root_order(l: Link):
         pattern_key(l.source.pattern),
         pattern_key(l.view.pattern),
     )
+
+
+def _resolve(table: dict, path: Path, step):
+    """``table[path]``, deriving each missing prefix from its parent by ``step``.
+
+    ``table`` maps the empty path to a root and holds every prefix resolved
+    so far, so a path costs one step per prefix not met before, not a walk
+    from the root.  ``step(parent, index)`` returns None where a prefix does
+    not resolve, and so does this.
+    """
+    hit = table.get(path)
+    if hit is not None:
+        return hit
+    k = len(path) - 1
+    while (hit := table.get(path[:k])) is None:
+        k -= 1
+    for k in range(k, len(path)):
+        hit = step(hit, path[k])
+        if hit is None:
+            return None
+        table[path[: k + 1]] = hit
+    return hit
+
+
+def _source_child(t: Tree, i: int) -> Tree | None:
+    if isinstance(t, Node) and 0 <= i < len(t.children):
+        return t.children[i]
+    return None
 
 
 class _Index:
@@ -181,16 +181,17 @@ class _Index:
         self.kids: dict[int, _Index] = {}
 
 
+def _index_child(node: _Index, i: int) -> _Index:
+    kid = node.kids[i] = _Index()
+    return kid
+
+
 def _index_links(ls) -> _Index:
     root = _Index()
+    nodes = {(): root}
     crowded: list[_Index] = []
     for l in frozenset(ls):
-        node = root
-        for i in l.view.path:
-            kid = node.kids.get(i)
-            if kid is None:
-                kid = node.kids[i] = _Index()
-            node = kid
+        node = _resolve(nodes, l.view.path, _index_child)
         node.here.append(l)
         if len(node.here) == 2:
             crowded.append(node)
@@ -249,45 +250,30 @@ def _fail(code: str, message: str, at, link: Link | None = None) -> CheckFailure
     return CheckFailure(code, message, _abs_path(at), link)
 
 
-def _get(
-    vp: ValidatedProgram, sty: str, vty: str, s: Tree, spath: Path, vpath: Path, acc: list
-) -> Tree:
+def _get(rel: Relation, s: Tree, spath: Path, vpath: Path, acc: list) -> Tree:
     """View of ``s``; appends its links, at absolute paths, to ``acc``."""
-    if sty in PRIMITIVES:
-        return s
-    rel = vp.relation(sty, vty)
-    if rel is None:
-        raise UnknownRelation(f"{sty} <---> {vty}")
-    rule = next((r for r in rel.rules if is_match(r.source, s)), None)
-    if rule is None:
-        raise IllTypedInput(f"no rule of {sty} <---> {vty} matches the source")
-    bindings = decompose(rule.source, s)
-    acc.append(
-        Link(
-            Region(erase_vars(fill_wildcards(rule.source, s)), spath),
-            Region(rule.view_erased, vpath),
+    for rule in rel.rules:
+        plan = rule.plan
+        if plan.match_source(s):
+            break
+    else:
+        raise IllTypedInput(
+            f"no rule of {rel.source_type} <---> {rel.view_type} matches the source"
         )
-    )
-    views = {
-        x: _get(
-            vp,
-            rule.var_src_type[x],
-            rule.var_view_type[x],
-            bindings[x],
-            spath + rule.var_src_path[x],
-            vpath + rule.var_view_path[x],
-            acc,
-        )
-        for x in rule.variables
-    }
-    return reconstruct(rule.view, views)
+    acc.append(Link(Region(plan.region(s), spath), Region(rule.view_erased, vpath)))
+    views = []
+    for x in plan.variables:
+        sub = x.source_at(s)
+        if x.relation is not None:
+            sub = _get(x.relation, sub, spath + x.source_path, vpath + x.view_path, acc)
+        views.append(sub)
+    return plan.view(views)
 
 
 def _sync(
     vp: ValidatedProgram,
-    sty: str,
-    vty: str,
-    s: Tree,
+    sources: dict,
+    rel: Relation | None,
     v: Tree,
     node: _Index | None,
     skip: int,
@@ -296,11 +282,13 @@ def _sync(
 ) -> Tree | CheckFailure:
     """put and check in one traversal: the new source, or why there is none.
 
-    ``node`` indexes the input links at and below the current view node, of
-    which the first ``skip`` ending here are already consumed; ``at`` is the
-    current view path as a ``(parent, step)`` chain.
+    ``rel`` is the relation at this view node (None for a primitive, related
+    by identity).  ``node`` indexes the input links at and below the current
+    view node, of which the first ``skip`` ending here are already consumed;
+    ``at`` is the current view path as a ``(parent, step)`` chain.
+    ``sources`` maps the source paths resolved so far to their subtrees.
     """
-    if sty in PRIMITIVES:
+    if rel is None:
         if node is not None and (skip < len(node.here) or node.kids):
             return _fail(
                 "E-link-at-leaf",
@@ -309,9 +297,7 @@ def _sync(
                 _first_link(node, skip),
             )
         return v
-    rel = vp.relation(sty, vty)
-    if rel is None:
-        return _fail("E-no-relation", f"no relation {sty} <---> {vty}", at)
+    sty, vty = rel.source_type, rel.view_type
     if node is None or skip >= len(node.here):
         rule = _select_rebuild_rule(rel, v)
         if rule is None:
@@ -332,12 +318,11 @@ def _sync(
         scoped, stray = _scope(rule, node, skip)
         if stray is not None:
             return _fail("E-stray-link", "link is not scoped under any rule variable", at, stray)
-        core_type, core = sty, rule.source_defaulted
+        core_type, slots = sty, list(rule.plan.defaults)
     else:
         l = node.here[skip]
-        try:
-            ssub = sel(s, l.source.path)
-        except PathOutOfRange:
+        ssub = _resolve(sources, l.source.path, _source_child)
+        if ssub is None:
             return _fail("E-dangling-source", "source path does not resolve", at, l)
         if not is_match(l.source.pattern, ssub):
             return _fail(
@@ -358,7 +343,7 @@ def _sync(
             return _fail("E-no-generating-rule", "no rule can generate this link", at, l)
         if len(cands) > 1:
             return _fail("E-ambiguous-link", "more than one rule can generate this link", at, l)
-        rel2, rule, core = cands[0]
+        rel2, rule, slots = cands[0]
         core_type = rel2.source_type
         if core_type != sty and (core_type, sty, vty) not in vp.inj_table:
             return _fail(
@@ -373,25 +358,16 @@ def _sync(
                 "E-overlapping-regions", "second link ends inside this view region", at, other
             )
         chain = 0
-    vb = decompose(rule.view, v)
-    parts: dict[str, Tree] = {}
-    for x in rule.variables:
-        kid, kid_skip = scoped[x]
+    plan = rule.plan
+    for x in plan.variables:
+        kid, kid_skip = scoped[x.name]
         part = _sync(
-            vp,
-            rule.var_src_type[x],
-            rule.var_view_type[x],
-            s,
-            vb[x],
-            kid,
-            kid_skip,
-            chain,
-            (at, rule.var_view_path[x]),
+            vp, sources, x.relation, x.view_at(v), kid, kid_skip, chain, (at, x.view_path)
         )
         if isinstance(part, CheckFailure):
             return part
-        parts[x] = part
-    out = reconstruct(core, parts)
+        slots.append(part)
+    out = plan.source(slots)
     if core_type != sty:
         for step in vp.inj_table[(core_type, sty, vty)]:
             out = reconstruct(step.pattern, {step.var: out})
@@ -460,22 +436,24 @@ class LensHandle(Lens):
         return self.program.schema
 
     def _get(self, s: Tree) -> tuple[Tree, LinkSet]:
+        if self.source_type in PRIMITIVES:
+            return s, frozenset()
+        rel = self.program.relation(self.source_type, self.view_type)
+        if rel is None:
+            raise UnknownRelation(f"{self.source_type} <---> {self.view_type}")
         acc: list[Link] = []
-        view = _get(self.program, self.source_type, self.view_type, s, (), (), acc)
+        view = _get(rel, s, (), (), acc)
         return view, frozenset(acc)
 
     def _try_put(self, s: Tree, v: Tree, ls) -> Tree | CheckFailure:
-        return _sync(
-            self.program,
-            self.source_type,
-            self.view_type,
-            s,
-            v,
-            _index_links(ls),
-            0,
-            0,
-            None,
-        )
+        rel = None
+        if self.source_type not in PRIMITIVES:
+            rel = self.program.relation(self.source_type, self.view_type)
+            if rel is None:
+                return CheckFailure(
+                    "E-no-relation", f"no relation {self.source_type} <---> {self.view_type}", ()
+                )
+        return _sync(self.program, {(): s}, rel, v, _index_links(ls), 0, 0, None)
 
 
 def lens(program: ValidatedProgram, source_type: str, view_type: str) -> LensHandle:

@@ -12,13 +12,15 @@ failures are warnings; see ``W-view-coverage``), pairwise source-pattern
 disjointness, no bare-variable source patterns, no view-side wildcards, equal
 and linear variable sets, a declared relation (or primitive identity) for
 every variable's type pair, and conversion chains between interchangeable
-source types.
+source types.  A program that validates has each rule compiled once into a
+``RulePlan`` (``treelens.plan``) and its rules indexed by the view region
+they generate, so the engine never re-walks a rule's patterns.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .schema import (
     Constructor,
@@ -29,6 +31,7 @@ from .schema import (
     check_tree_type,
     fill_wildcards_default,
 )
+from .plan import RulePlan, compile_plan
 from .text import LensSyntaxError, Token, TokenCursor, parse_term, render_pattern, tokenize
 from .trees import (
     Node,
@@ -397,6 +400,9 @@ class Rule:
     source_defaulted: Pattern
     view_erased: Pattern
     bare_view_var: str | None
+    # Compiled by ``validate_program`` once every relation exists; derived
+    # from the fields above, so it takes no part in equality or repr.
+    plan: RulePlan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -422,7 +428,9 @@ class ValidatedProgram:
     schema: Schema
     relations: tuple[Relation, ...]
     by_pair: dict[tuple[str, str], Relation]
-    by_view: dict[str, tuple[Relation, ...]]
+    # (view type, erased view pattern) -> the rules whose view region it is,
+    # in program order: what put searches for the rule behind a link.
+    generators: dict[tuple[str, Pattern], tuple[tuple[Relation, Rule], ...]]
     inj_table: dict[tuple[str, str, str], tuple[InjStep, ...]]
     warnings: list[Diagnostic]
     source_name: str = "<program>"
@@ -434,9 +442,6 @@ class ValidatedProgram:
 
     def relation(self, sty: str, vty: str) -> Relation | None:
         return self.by_pair.get((sty, vty))
-
-    def relations_with_view(self, vty: str) -> tuple[Relation, ...]:
-        return self.by_view.get(vty, ())
 
 
 def _wildish(p: Pattern) -> bool:
@@ -747,9 +752,6 @@ def validate_program(program: Program) -> ValidatedProgram:
                 )
 
     by_pair = {(r.source_type, r.view_type): r for r in relations}
-    by_view: dict[str, list[Relation]] = {}
-    for r in relations:
-        by_view.setdefault(r.view_type, []).append(r)
 
     inj_table: dict[tuple[str, str, str], tuple[InjStep, ...]] = {}
     for s1, s2, vty in sorted(_interchangeable(sch, pair_list)):
@@ -772,11 +774,20 @@ def validate_program(program: Program) -> ValidatedProgram:
 
     if diags:
         raise ValidationError(diags, program.source_name)
+
+    def relation_of(sty: str, vty: str) -> Relation | None:
+        return None if sty in PRIMITIVES else by_pair[(sty, vty)]
+
+    generators: dict[tuple[str, Pattern], list[tuple[Relation, Rule]]] = {}
+    for rel in relations:
+        for rule in rel.rules:
+            rule.plan = compile_plan(rule, relation_of)
+            generators.setdefault((rel.view_type, rule.view_erased), []).append((rel, rule))
     return ValidatedProgram(
         schema=sch,
         relations=tuple(relations),
         by_pair=by_pair,
-        by_view={k: tuple(v) for k, v in by_view.items()},
+        generators={k: tuple(v) for k, v in generators.items()},
         inj_table=inj_table,
         warnings=warnings,
         source_name=program.source_name,

@@ -21,6 +21,8 @@ format changes them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Mapping, Union
 
 
@@ -123,7 +125,7 @@ def is_match(p: Pattern, t: Tree) -> bool:
     if not (isinstance(t, Node) and t.ctor == p.ctor and len(t.children) == len(p.children)):
         return False
     for q, c in zip(p.children, t.children):
-        if not is_match(q, c):
+        if not (isinstance(q, (Wildcard, Var)) or is_match(q, c)):
             return False
     return True
 
@@ -285,17 +287,29 @@ def pattern_key(p: Pattern):
     return (4, p.ctor, tuple(pattern_key(a) for a in p.children))
 
 
+def _by_patterns(l: Link):
+    return pattern_key(l.source.pattern), pattern_key(l.view.pattern)
+
+
 def canonical_links(ls) -> list[Link]:
-    """Links sorted by source path, view path, then pattern order."""
-    return sorted(
-        ls,
-        key=lambda l: (
-            l.source.path,
-            l.view.path,
-            pattern_key(l.source.pattern),
-            pattern_key(l.view.pattern),
-        ),
-    )
+    """Links sorted by source path, view path, then pattern order.
+
+    Paths whose indices all fit in a byte order like their ``bytes``, which
+    compare in one ``memcmp`` instead of index by index; other paths sort as
+    tuples.  Pattern keys are built only for runs of links tying on both paths.
+    """
+    ls = list(ls)
+    try:
+        keys = [(bytes(l.source.path), bytes(l.view.path)) for l in ls]
+    except ValueError:
+        keys = [(l.source.path, l.view.path) for l in ls]
+    out: list[Link] = []
+    for _, run in groupby(sorted(zip(keys, ls), key=itemgetter(0)), key=itemgetter(0)):
+        run = [l for _, l in run]
+        if len(run) > 1:
+            run.sort(key=_by_patterns)
+        out += run
+    return out
 
 
 def tree_size(t: Tree) -> int:

@@ -249,6 +249,25 @@ def test_chain_names_the_users_link(expr_to_narith):
     _assert_unthreaded(expr_to_narith, s, c, frozenset({link}), link)
 
 
+def test_chain_failure_in_second_lens_names_the_users_link(expr_to_narith):
+    # The link threads to the middle as (Add _ _ @ []) <-> (ZzBogus @ []) and
+    # fails there; the failure names the input link it was carried from.
+    from treelens import Link, Region, parse_pattern
+    from treelens.engine import InvalidLinks
+    from treelens.harness import corrupt_links
+
+    s = parse_tree('Plus "p" (FromT "" (Lit "a" 1)) (Neg "n" (Lit "b" 2))')
+    c, ls = expr_to_narith.get(s)
+    bad = corrupt_links(ls, 3)
+    user = Link(Region(parse_pattern('Plus "p" _ _'), ()), Region(parse_pattern("ZzBogus"), ()))
+    assert user in bad
+    f = expr_to_narith.check_explain(s, c, bad)
+    assert (f.code, f.view_path, f.link) == ("E-view-mismatch", (), user)
+    with pytest.raises(InvalidLinks) as e:
+        expr_to_narith.put(s, c, bad)
+    assert e.value.failure == f
+
+
 def test_mirror_twice_rejects_unthreaded_links(mirror_twice):
     from treelens import Link, Region, parse_pattern
     from treelens.harness import corrupt_links

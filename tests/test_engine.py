@@ -512,3 +512,32 @@ def test_put_and_check_visit_linearly_many_nodes(arith_expr, monkeypatch):
     for label in ("retain", "rebuild"):
         a, b, c = (counts[label, n] for n in (25, 50, 100))
         assert c - b == 2 * (b - a)  # exactly linear in n
+
+
+def test_put_resolves_each_path_in_constant_steps(arith_expr, monkeypatch):
+    # Trie nodes created plus source-path entries resolved in one put: each
+    # path is one step from its nearest resolved ancestor, never a walk from
+    # the root, so the count is exactly linear in the number of terms.
+    from treelens import engine, trees
+
+    def forbidden(*args):
+        raise AssertionError("put walked a path from the root")
+
+    monkeypatch.setattr(trees, "sel", forbidden)
+    assert not hasattr(engine, "sel")
+    made = _counting(monkeypatch, engine, "_Index")
+    resolved = _counting(monkeypatch, engine, "_source_child")
+    counts = {}
+    for n in (25, 50, 100):
+        s = _left_deep_sum(n)
+        v, ls = arith_expr.get(s)
+        for call in (arith_expr.put, arith_expr.check):
+            made.clear()
+            resolved.clear()
+            assert call(s, v, ls) in (s, True)
+            steps = len(made) + len(resolved)
+            assert counts.setdefault(n, steps) == steps
+            # One step per retained source path; the root's is resolved already.
+            assert len(resolved) == len(ls) - 1
+    a, b, c = (counts[n] for n in (25, 50, 100))
+    assert c - b == 2 * (b - a)

@@ -297,3 +297,32 @@ def test_tree_size_counts_leaves(demo_cst):
 
 def test_vars_of_order():
     assert vars_of(parse_pattern("Plus _ x y")) == ("x", "y")
+
+
+@pytest.mark.parametrize("indices", [(0, 1, 2), (0, 1, 255, 256, 300), (-1, 0, 1)])
+def test_canonical_links_match_the_full_key_sort(indices):
+    # Paths, not pattern keys, decide the order unless two links tie on both
+    # paths; indices that do not fit in a byte take the tuple comparison.
+    import random
+
+    from treelens import canonical_links
+    from treelens.trees import pattern_key
+
+    pats = [parse_pattern(p) for p in ("A", "B _", "B (C 1)", '"s"', "_")]
+    rng = random.Random(len(indices))
+    for _ in range(40):
+        paths = [tuple(rng.choice(indices) for _ in range(rng.randrange(4))) for _ in range(6)]
+        ls = {
+            Link(Region(rng.choice(pats), rng.choice(paths)), Region(rng.choice(pats), rng.choice(paths)))
+            for _ in range(30)
+        }
+        reference = sorted(
+            ls,
+            key=lambda l: (
+                l.source.path,
+                l.view.path,
+                pattern_key(l.source.pattern),
+                pattern_key(l.view.pattern),
+            ),
+        )
+        assert canonical_links(ls) == reference
