@@ -77,18 +77,12 @@ from .trees import (
     WILDCARD,
     Wildcard,
     canonical_links,
-    decompose,
     erase_vars,
-    fill_wildcards,
     fst_projection,
     is_match,
     link_compose,
     link_converse,
-    links_valid,
-    reconstruct,
-    region_contains,
     sel,
-    var_path,
 )
 
 # Submodules bind their names here on import; they are not part of the API.

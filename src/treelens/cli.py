@@ -158,11 +158,13 @@ def _cmd_put(args) -> int:
 
 
 def _cmd_edit(args) -> int:
+    if bool(args.program) != bool(args.relation):
+        raise _Usage("edit -p needs -r" if args.program else "edit -r needs -p")
     view = read_tree_file(_read(args.view))
     links = parse_links(_read(args.links))
     ops = parse_script(_read(args.script))
     ctx = None
-    if args.program and args.relation:
+    if args.program:
         h = _lens(args)
         ctx = EditContext(h.view_schema, h.view_type)
     state = apply_script(EditState(view, links), ops, ctx)

@@ -19,11 +19,12 @@ Retained regions whose rule belongs to a different source type are wrapped
 by the synthesized conversion chain for the two interchangeable types.
 
 The rules never change once the program loads, so they are not interpreted
-here: each carries a ``RulePlan`` compiled at validation (``treelens.plan``)
-that matches, binds, builds regions and rebuilds trees for that rule, and
-whose variables already hold the relation they recurse into.  The rules
-that can generate a link are looked up by (view type, view region) in one
-per-program table.
+here: each is one ``Rule`` compiled at validation (``treelens.plan``), whose
+closures match, bind, build regions and rebuild trees, and whose variables
+already hold the relation they recurse into.  A conversion chain is a tuple
+of single-variable rules, each applied by its own ``build_source``.  The
+rules that can generate a link are looked up by (view type, view region) in
+one per-program table.
 
 put and check are one traversal (``_sync``).  The input links are indexed
 once as a trie over view paths; each step hands the rule's variables their
@@ -41,21 +42,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .frontend import Relation, Rule, ValidatedProgram, normalize_type_name
+from .frontend import Relation, ValidatedProgram, normalize_type_name
+from .plan import Rule
 from .schema import IllTyped, PRIMITIVES, check_tree_type
 from .text import render_link, render_path, render_pattern
-from .trees import (
-    Link,
-    LinkSet,
-    Node,
-    Path,
-    Region,
-    Tree,
-    Var,
-    is_match,
-    pattern_key,
-    reconstruct,
-)
+from .trees import Link, LinkSet, Node, Path, Region, Tree, Var, is_match, pattern_key
 
 
 class EngineError(Exception):
@@ -99,8 +90,8 @@ def _select_rebuild_rule(rel: Relation, v: Tree) -> Rule | None:
     """First rule whose view pattern matches ``v``, preferring non-bare ones."""
     first_bare: Rule | None = None
     for rule in rel.rules:
-        if rule.plan.match_view(v):
-            if rule.bare_view_var is None:
+        if rule.match_view(v):
+            if not rule.bare_view:
                 return rule
             if first_bare is None:
                 first_bare = rule
@@ -120,7 +111,7 @@ def _generating_rules(
     """
     current, foreign = [], []
     for rel, rule in vp.generators.get((vty, l.view.pattern), ()):
-        fills = rule.plan.merge(l.source.pattern)
+        fills = rule.merge(l.source.pattern)
         if fills is not None:
             bucket = current if rel.source_type == sty else foreign
             bucket.append((rel, rule, fills))
@@ -216,7 +207,7 @@ def _scope(rule: Rule, node: _Index | None, skip: int):
     least view path that ends outside every variable (None when there is
     none).  ``None`` stands for the pattern below a leaf or past its arity.
     """
-    scoped = dict.fromkeys(rule.variables, (None, 0))
+    scoped = {x.name: (None, 0) for x in rule.variables}
     if node is None:
         return scoped, None
     stack = [(rule.view, node, skip)]
@@ -253,21 +244,20 @@ def _fail(code: str, message: str, at, link: Link | None = None) -> CheckFailure
 def _get(rel: Relation, s: Tree, spath: Path, vpath: Path, acc: list) -> Tree:
     """View of ``s``; appends its links, at absolute paths, to ``acc``."""
     for rule in rel.rules:
-        plan = rule.plan
-        if plan.match_source(s):
+        if rule.match_source(s):
             break
     else:
         raise IllTypedInput(
             f"no rule of {rel.source_type} <---> {rel.view_type} matches the source"
         )
-    acc.append(Link(Region(plan.region(s), spath), Region(rule.view_erased, vpath)))
+    acc.append(Link(Region(rule.region(s), spath), Region(rule.view_erased, vpath)))
     views = []
-    for x in plan.variables:
+    for x in rule.variables:
         sub = x.source_at(s)
         if x.relation is not None:
             sub = _get(x.relation, sub, spath + x.source_path, vpath + x.view_path, acc)
         views.append(sub)
-    return plan.view(views)
+    return rule.build_view(views)
 
 
 def _sync(
@@ -302,7 +292,7 @@ def _sync(
         rule = _select_rebuild_rule(rel, v)
         if rule is None:
             return _fail("E-no-rule", f"no view pattern of {sty} <---> {vty} matches here", at)
-        if rule.bare_view_var is not None:
+        if rule.bare_view:
             # Bounded rounds: consecutive bare-variable selections consume no
             # view constructor, so more than one round per relation definition
             # (plus one) proves a cycle.
@@ -318,7 +308,7 @@ def _sync(
         scoped, stray = _scope(rule, node, skip)
         if stray is not None:
             return _fail("E-stray-link", "link is not scoped under any rule variable", at, stray)
-        core_type, slots = sty, list(rule.plan.defaults)
+        core_type, slots = sty, list(rule.defaults)
     else:
         l = node.here[skip]
         ssub = _resolve(sources, l.source.path, _source_child)
@@ -358,8 +348,7 @@ def _sync(
                 "E-overlapping-regions", "second link ends inside this view region", at, other
             )
         chain = 0
-    plan = rule.plan
-    for x in plan.variables:
+    for x in rule.variables:
         kid, kid_skip = scoped[x.name]
         part = _sync(
             vp, sources, x.relation, x.view_at(v), kid, kid_skip, chain, (at, x.view_path)
@@ -367,10 +356,10 @@ def _sync(
         if isinstance(part, CheckFailure):
             return part
         slots.append(part)
-    out = plan.source(slots)
+    out = rule.build_source(slots)
     if core_type != sty:
-        for step in vp.inj_table[(core_type, sty, vty)]:
-            out = reconstruct(step.pattern, {step.var: out})
+        for wrap in vp.inj_table[(core_type, sty, vty)]:
+            out = wrap.build_source([*wrap.defaults, out])
     return out
 
 

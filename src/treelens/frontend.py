@@ -12,16 +12,20 @@ failures are warnings; see ``W-view-coverage``), pairwise source-pattern
 disjointness, no bare-variable source patterns, no view-side wildcards, equal
 and linear variable sets, a declared relation (or primitive identity) for
 every variable's type pair, and conversion chains between interchangeable
-source types.  A program that validates has each rule compiled once into a
-``RulePlan`` (``treelens.plan``) and its rules indexed by the view region
-they generate, so the engine never re-walks a rule's patterns.
+source types.  Every check on a rule's variables and wildcards reads the
+hole maps of one typing walk per side, and the same maps build the rule's
+one record, a frozen ``plan.Rule`` compiled against the program's relations.
+A program that validates has its rules indexed by the view region they
+generate, and a conversion chain is a tuple of its single-variable rules, so
+the engine never re-walks a rule's patterns.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .plan import Rule, Variable, at, compile_rule
 from .schema import (
     Constructor,
     IllTyped,
@@ -29,21 +33,10 @@ from .schema import (
     PRIMITIVES,
     Schema,
     check_tree_type,
-    fill_wildcards_default,
+    default_value,
 )
-from .plan import RulePlan, compile_plan
 from .text import LensSyntaxError, Token, TokenCursor, parse_term, render_pattern, tokenize
-from .trees import (
-    Node,
-    Path,
-    Pattern,
-    Var,
-    Wildcard,
-    WILDCARD,
-    erase_vars,
-    var_path,
-    vars_of,
-)
+from .trees import Node, Path, Pattern, Var, Wildcard, WILDCARD, sel
 
 _INSTANTIATION_DEPTH_LIMIT = 64
 
@@ -385,42 +378,15 @@ def _paren(name: str) -> str:
 
 
 @dataclass
-class Rule:
-    """A type-checked inductive rule with the lookup tables the engine uses."""
-
-    source: Pattern
-    view: Pattern
-    line: int
-    index: int
-    variables: tuple[str, ...]
-    var_src_type: dict[str, str]
-    var_view_type: dict[str, str]
-    var_src_path: dict[str, Path]
-    var_view_path: dict[str, Path]
-    source_defaulted: Pattern
-    view_erased: Pattern
-    bare_view_var: str | None
-    # Compiled by ``validate_program`` once every relation exists; derived
-    # from the fields above, so it takes no part in equality or repr.
-    plan: RulePlan | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass
 class Relation:
+    """A declared relation; ``validate_program`` sets its rules once, after all relations exist."""
+
     source_type: str
     view_type: str
-    rules: tuple[Rule, ...]
     source_expr: TypeExpr
     view_expr: TypeExpr
     line: int
-
-
-@dataclass(frozen=True)
-class InjStep:
-    """One wrapper application: substitute the variable in a defaulted pattern."""
-
-    pattern: Pattern
-    var: str
+    rules: tuple[Rule, ...] = ()
 
 
 @dataclass
@@ -431,7 +397,9 @@ class ValidatedProgram:
     # (view type, erased view pattern) -> the rules whose view region it is,
     # in program order: what put searches for the rule behind a link.
     generators: dict[tuple[str, Pattern], tuple[tuple[Relation, Rule], ...]]
-    inj_table: dict[tuple[str, str, str], tuple[InjStep, ...]]
+    # (S1, S2, V) -> the single-variable rules that wrap an S1 tree into an
+    # S2 tree, innermost first.
+    inj_table: dict[tuple[str, str, str], tuple[Rule, ...]]
     warnings: list[Diagnostic]
     source_name: str = "<program>"
 
@@ -493,31 +461,30 @@ def patterns_overlap(p: Pattern, q: Pattern) -> bool:
     return p == q
 
 
-def _linear(p: Pattern) -> list[str]:
-    """Names that occur more than once."""
-    names = list(vars_of(p))
-    return sorted({n for n in names if names.count(n) > 1})
-
-
 def _compile_rule(
     sch: Schema,
     rel: RawRelation,
     raw: RawRule,
     index: int,
+    by_pair: dict[tuple[str, str], Relation],
     diags: list[Diagnostic],
 ) -> Rule | None:
-    src_holes: dict[Path, str] = {}
-    view_holes: dict[Path, str] = {}
+    # Each side's holes in preorder, as (hole, path, type), from one typing walk.
+    sides: list[list[tuple[Pattern, Path, str]]] = []
     try:
-        check_tree_type(sch, rel.source_type, raw.source, src_holes)
-        check_tree_type(sch, rel.view_type, raw.view, view_holes)
+        for ty, pat in ((rel.source_type, raw.source), (rel.view_type, raw.view)):
+            holes: dict[Path, str] = {}
+            check_tree_type(sch, ty, pat, holes)
+            sides.append([(sel(pat, h), h, hty) for h, hty in holes.items()])
     except IllTyped as e:
         diags.append(Diagnostic(raw.line, 1, "E-ill-typed", str(e)))
         return None
+    src, view = sides
 
     ok = True
-    for side, pat in (("source", raw.source), ("view", raw.view)):
-        dup = _linear(pat)
+    for side, holes in (("source", src), ("view", view)):
+        names = [x.name for x, _, _ in holes if isinstance(x, Var)]
+        dup = sorted({n for n in names if names.count(n) > 1})
         if dup:
             diags.append(
                 Diagnostic(raw.line, 1, "E-nonlinear", f"{side} pattern repeats {', '.join(dup)}")
@@ -529,20 +496,14 @@ def _compile_rule(
         )
         ok = False
 
-    def has_wildcard(p: Pattern) -> bool:
-        if isinstance(p, Wildcard):
-            return True
-        if isinstance(p, Node):
-            return any(has_wildcard(a) for a in p.children)
-        return False
-
-    if has_wildcard(raw.view):
+    if any(isinstance(x, Wildcard) for x, _, _ in view):
         diags.append(
             Diagnostic(raw.line, 1, "E-view-wildcard", "wildcards are not allowed on the view side")
         )
         ok = False
-    svars, vvars = set(vars_of(raw.source)), set(vars_of(raw.view))
-    if svars != vvars:
+    svars = {x.name: (h, ty) for x, h, ty in src if isinstance(x, Var)}
+    vvars = {x.name: (h, ty) for x, h, ty in view if isinstance(x, Var)}
+    if svars.keys() != vvars.keys():
         diags.append(
             Diagnostic(
                 raw.line,
@@ -556,32 +517,20 @@ def _compile_rule(
     if not ok:
         return None
 
-    variables = vars_of(raw.source)
-    var_src_path = {x: var_path(raw.source, x) for x in variables}
-    var_view_path = {x: var_path(raw.view, x) for x in variables}
-    var_src_type = {x: src_holes[var_src_path[x]] for x in variables}
-    var_view_type = {x: view_holes[var_view_path[x]] for x in variables}
     try:
-        source_defaulted = fill_wildcards_default(sch, raw.source, src_holes)
+        defaults = {h: default_value(sch, ty) for x, h, ty in src if isinstance(x, Wildcard)}
     except NoFiniteDefault as e:
         diags.append(
             Diagnostic(raw.line, 1, "E-no-default", f"no finite default value for type {e}")
         )
         return None
-    return Rule(
-        source=raw.source,
-        view=raw.view,
-        line=raw.line,
-        index=index,
-        variables=variables,
-        var_src_type=var_src_type,
-        var_view_type=var_view_type,
-        var_src_path=var_src_path,
-        var_view_path=var_view_path,
-        source_defaulted=source_defaulted,
-        view_erased=erase_vars(raw.view),
-        bare_view_var=raw.view.name if isinstance(raw.view, Var) else None,
-    )
+    variables = []
+    for x, (spath, sty) in svars.items():
+        vpath, vty = vvars[x]
+        # A primitive is related by identity; a missing relation is E-var-relation.
+        relation = None if sty in PRIMITIVES else by_pair.get((sty, vty))
+        variables.append(Variable(x, relation, sty, vty, spath, vpath, at(spath), at(vpath)))
+    return compile_rule(raw.source, raw.view, raw.line, index, tuple(variables), defaults)
 
 
 def reachable_types(sch: Schema, ty: str) -> frozenset:
@@ -631,7 +580,7 @@ def _interchangeable(sch: Schema, pairs: list[tuple[str, str]]) -> set[tuple[str
 
 def _synthesize_steps(
     by_pair: dict[tuple[str, str], Relation], frm: str, to: str, view: str
-) -> tuple[InjStep, ...] | None:
+) -> tuple[Rule, ...] | None:
     """Shortest wrapper chain turning a ``frm`` tree into a ``to`` tree at ``view``."""
     if frm == to:
         return ()
@@ -643,11 +592,10 @@ def _synthesize_steps(
         if rel is None:
             continue
         for rule in rel.rules:
-            if rule.bare_view_var is None or len(rule.variables) != 1:
+            if not rule.bare_view:  # then its one variable is the view
                 continue
-            x = rule.variables[0]
-            nxt = rule.var_src_type[x]
-            chain = steps + [InjStep(rule.source_defaulted, x)]
+            nxt = rule.variables[0].source_type
+            chain = steps + [rule]
             if nxt == frm:
                 return tuple(reversed(chain))  # innermost wrapper first
             if nxt not in visited:
@@ -689,22 +637,21 @@ def validate_program(program: Program) -> ValidatedProgram:
             )
         pair_set.add(key)
 
-    relations: list[Relation] = []
-    for rel in program.relations:
-        rules: list[Rule] = []
-        for i, raw in enumerate(rel.rules):
-            compiled = _compile_rule(sch, rel, raw, i, diags)
-            if compiled is not None:
-                rules.append(compiled)
-        relations.append(
-            Relation(rel.source_type, rel.view_type, tuple(rules), rel.source_expr, rel.view_expr, rel.line)
-        )
+    # Relations exist before their rules, whose variables refer to them.
+    relations = [
+        Relation(r.source_type, r.view_type, r.source_expr, r.view_expr, r.line)
+        for r in program.relations
+    ]
+    by_pair = {(r.source_type, r.view_type): r for r in relations}
+    for relation, rel in zip(relations, program.relations):
+        compiled = [_compile_rule(sch, rel, raw, i, by_pair, diags) for i, raw in enumerate(rel.rules)]
+        relation.rules = tuple(r for r in compiled if r is not None)
 
     for rel, raw_rel in zip(relations, program.relations):
         # Every variable's type pair needs an identity (primitives) or a relation.
         for rule in rel.rules:
             for x in rule.variables:
-                ts, tv = rule.var_src_type[x], rule.var_view_type[x]
+                ts, tv = x.source_type, x.view_type
                 if (ts, tv) in pair_set:
                     continue
                 if ts == tv and ts in PRIMITIVES:
@@ -714,7 +661,7 @@ def validate_program(program: Program) -> ValidatedProgram:
                         rule.line,
                         1,
                         "E-var-relation",
-                        f"variable {x} needs a relation {ts} <---> {tv}",
+                        f"variable {x.name} needs a relation {ts} <---> {tv}",
                     )
                 )
         # (ii) pairwise source disjointness.
@@ -751,9 +698,7 @@ def validate_program(program: Program) -> ValidatedProgram:
                     )
                 )
 
-    by_pair = {(r.source_type, r.view_type): r for r in relations}
-
-    inj_table: dict[tuple[str, str, str], tuple[InjStep, ...]] = {}
+    inj_table: dict[tuple[str, str, str], tuple[Rule, ...]] = {}
     for s1, s2, vty in sorted(_interchangeable(sch, pair_list)):
         steps = _synthesize_steps(by_pair, s1, s2, vty)
         if steps is not None:
@@ -775,13 +720,9 @@ def validate_program(program: Program) -> ValidatedProgram:
     if diags:
         raise ValidationError(diags, program.source_name)
 
-    def relation_of(sty: str, vty: str) -> Relation | None:
-        return None if sty in PRIMITIVES else by_pair[(sty, vty)]
-
     generators: dict[tuple[str, Pattern], list[tuple[Relation, Rule]]] = {}
     for rel in relations:
         for rule in rel.rules:
-            rule.plan = compile_plan(rule, relation_of)
             generators.setdefault((rel.view_type, rule.view_erased), []).append((rel, rule))
     return ValidatedProgram(
         schema=sch,

@@ -1,19 +1,22 @@
-"""Rule plans: a rule's patterns compiled once, when the program loads.
+"""Compiled rules: each rule of a program typed once and built once, at load.
 
 A program's rules never change after validation, so the engine does not
-interpret their patterns at each node.  ``compile_plan`` turns a rule into a
-``RulePlan`` of closures, one per thing the engine asks of a rule, each
-equal to a composition of the generic ``trees`` helpers:
+interpret their patterns at each node.  The frontend types each side of a
+rule with one ``check_tree_type`` walk, whose hole map (path -> type, in
+preorder) names every variable and wildcard, and ``compile_rule`` turns the
+rule into one frozen ``Rule``.  Its closures are what the engine asks of a
+rule, each equal to a composition of the generic ``trees`` helpers:
 
 - ``match_source`` / ``match_view``: ``is_match`` of the source / view pattern;
-- each ``VarPlan``'s ``source_at`` / ``view_at``: that variable's entry of
-  ``decompose``, with the relation the variable recurses into already looked
-  up (None for a primitive, related by identity);
+- each ``Variable``'s ``source_at`` / ``view_at``: that variable's entry of
+  ``decompose``, next to its types, its paths and the relation it recurses
+  into (None for a primitive, related by identity);
 - ``region``: get's source region, ``erase_vars(fill_wildcards(source, t))``;
-- ``view``: ``reconstruct(view, ...)`` from the variables' views, in variable
-  order;
-- ``source``: ``reconstruct`` of the source pattern from slots holding the
-  wildcards' fills (``defaults`` when rebuilding), then the variables' parts;
+- ``build_view``: ``reconstruct(view, ...)`` from the variables' views, in
+  variable order;
+- ``build_source``: ``reconstruct`` of the source pattern from slots holding
+  the wildcards' fills (``defaults``, one ``default_value`` per wildcard, when
+  rebuilding), then the variables' parts;
 - ``merge``: the fills a link's source region gives the wildcards, or None
   when the region is not one this rule can generate (a wildcard at each
   variable, ground content at each wildcard, the rule's constructors and
@@ -22,7 +25,7 @@ equal to a composition of the generic ``trees`` helpers:
 Every pattern shape compiles the same way, nested constructors and literals
 included.  A constructor node becomes one closure over a table of its
 children: holes and literals are handled inline, nested constructors by
-their own closure.  Plans hold no mutable state, so programs stay shareable.
+their own closure.  Rules hold no mutable state, so programs stay shareable.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .trees import Node, Path, Pattern, Tree, Var, Wildcard, erase_vars, is_ground
 
 if TYPE_CHECKING:
-    from .frontend import Relation, Rule
+    from .frontend import Relation
 
 # What a child of a compiled constructor node is: fixed content, a hole taken
 # from the input (a region's wildcard, a builder's slot), a variable (merge
@@ -41,84 +44,77 @@ if TYPE_CHECKING:
 _CONST, _HOLE, _VAR, _SUB = range(4)
 
 
-@dataclass(frozen=True)
-class VarPlan:
-    """One rule variable: where it sits on each side and the lens it recurses into."""
+@dataclass(frozen=True, eq=False)
+class Variable:
+    """One rule variable: its types and place on each side, and the lens it recurses into."""
 
     name: str
     relation: Relation | None  # None: a primitive, related by identity
+    source_type: str
+    view_type: str
     source_path: Path
     view_path: Path
     source_at: Callable[[Tree], Tree]
     view_at: Callable[[Tree], Tree]
 
 
-@dataclass(frozen=True)
-class RulePlan:
+@dataclass(frozen=True, eq=False)
+class Rule:
+    """A validated inductive rule ``source ~ view``, compiled for the engine."""
+
+    source: Pattern
+    view: Pattern
+    line: int
+    index: int
+    variables: tuple[Variable, ...]  # in source preorder
+    defaults: tuple[Tree, ...]  # one per source wildcard, in preorder
+    view_erased: Pattern  # the view region get links this rule's view to
+    bare_view: bool  # the view pattern is a variable
     match_source: Callable[[Tree], bool]
     match_view: Callable[[Tree], bool]
-    variables: tuple[VarPlan, ...]
     region: Callable[[Tree], Pattern]
-    view: Callable[[Sequence[Tree]], Tree]
-    source: Callable[[Sequence[Tree]], Tree]
-    defaults: tuple[Tree, ...]
+    build_view: Callable[[Sequence[Tree]], Tree]
+    build_source: Callable[[Sequence[Tree]], Tree]
     merge: Callable[[Pattern], "list[Tree] | None"]
 
 
-def compile_plan(rule: Rule, relation_of: Callable[[str, str], "Relation | None"]) -> RulePlan:
-    """The plan of a validated rule.
-
-    ``relation_of(source_type, view_type)`` returns the relation a variable
-    of those types recurses into, or None for a primitive.
-    """
-    src, view = rule.source, rule.view
-    holes = _wildcards(src)
-    slot = {h: k for k, h in enumerate(holes)}
-    slot.update((x, len(holes) + k) for k, x in enumerate(rule.variables))
-    variables = tuple(
-        VarPlan(
-            x,
-            relation_of(rule.var_src_type[x], rule.var_view_type[x]),
-            rule.var_src_path[x],
-            rule.var_view_path[x],
-            _at(rule.var_src_path[x]),
-            _at(rule.var_view_path[x]),
-        )
-        for x in rule.variables
-    )
-    return RulePlan(
-        match_source=_matcher(src),
+def compile_rule(
+    source: Pattern,
+    view: Pattern,
+    line: int,
+    index: int,
+    variables: tuple[Variable, ...],
+    defaults: dict[Path, Tree],
+) -> Rule:
+    """The rule with these variables and wildcards (path -> default, in preorder)."""
+    slot = {h: k for k, h in enumerate(defaults)}
+    slot.update((x.source_path, len(defaults) + k) for k, x in enumerate(variables))
+    return Rule(
+        source,
+        view,
+        line,
+        index,
+        variables,
+        tuple(defaults.values()),
+        erase_vars(view),
+        isinstance(view, Var),
+        match_source=_matcher(source),
         match_view=_matcher(view),
-        variables=variables,
-        region=_region(src),
-        view=_builder(view, {x: k for k, x in enumerate(rule.variables)}, ()),
-        source=_builder(src, slot, ()),
-        defaults=tuple(_at(h)(rule.source_defaulted) for h in holes),
-        merge=_merger(src),
+        region=_region(source, {h[:k] for h in defaults for k in range(len(h) + 1)}),
+        build_view=_builder(view, {x.view_path: k for k, x in enumerate(variables)}),
+        build_source=_builder(source, slot),
+        merge=_merger(source),
     )
 
 
-def _wildcards(p: Pattern, at: Path = ()) -> list[Path]:
-    """Paths of the wildcards of ``p``, in preorder."""
-    if isinstance(p, Wildcard):
-        return [at]
-    if isinstance(p, Node):
-        return [h for i, c in enumerate(p.children) for h in _wildcards(c, at + (i,))]
-    return []
-
-
-def _has_wildcard(p: Pattern) -> bool:
-    return bool(_wildcards(p))
-
-
-def _at(path: Path) -> Callable[[Tree], Tree]:
+def at(path: Path) -> Callable[[Tree], Tree]:
     """``t -> sel(t, path)`` for a ``t`` the pattern matched, so every step resolves."""
     if not path:
         return lambda t: t
     *up, i = path
     if not up:
         return lambda t: t.children[i]
-    parent = _at(tuple(up))
+    parent = at(tuple(up))
     return lambda t: parent(t).children[i]
 
 
@@ -151,21 +147,24 @@ def _matcher(p: Pattern) -> Callable[[Tree], bool]:
     return match
 
 
-def _region(p: Pattern) -> Callable[[Tree], Pattern]:
-    """``t -> erase_vars(fill_wildcards(p, t))`` for a ``t`` that ``p`` matches."""
-    if isinstance(p, Wildcard):
-        return lambda t: t
-    if not _has_wildcard(p):
+def _region(p: Pattern, wild: set[Path], here: Path = ()) -> Callable[[Tree], Pattern]:
+    """``t -> erase_vars(fill_wildcards(p, t))`` for a ``t`` that ``p`` matches.
+
+    ``wild`` holds every path with a wildcard of the rule at or below it.
+    """
+    if here not in wild:
         region = erase_vars(p)
         return lambda t: region
+    if isinstance(p, Wildcard):
+        return lambda t: t
     ctor = p.ctor
     table = tuple(
         (_HOLE, None)
         if isinstance(c, Wildcard)
-        else (_SUB, _region(c))
-        if _has_wildcard(c)
+        else (_SUB, _region(c, wild, here + (i,)))
+        if here + (i,) in wild
         else (_CONST, erase_vars(c))
-        for c in p.children
+        for i, c in enumerate(p.children)
     )
 
     def region(t: Tree) -> Pattern:
@@ -182,28 +181,22 @@ def _region(p: Pattern) -> Callable[[Tree], Pattern]:
     return region
 
 
-def _builder(p: Pattern, slot: dict, at: Path) -> Callable[[Sequence[Tree]], Tree]:
-    """``slots -> reconstruct(p, ...)``, each hole of ``p`` taking ``slots[slot[hole]]``.
-
-    A variable's hole is named by the variable, a wildcard's by its path.
-    """
-    if isinstance(p, (Var, Wildcard)):
-        k = slot[p.name if isinstance(p, Var) else at]
+def _builder(p: Pattern, slot: dict[Path, int], here: Path = ()) -> Callable[[Sequence[Tree]], Tree]:
+    """``slots -> reconstruct(p, ...)``, the hole at each path of ``slot`` taking ``slots[slot[path]]``."""
+    if here in slot:
+        k = slot[here]
         return lambda slots: slots[k]
-    if not (isinstance(p, Node) and _has_holes(p)):
+    if is_ground(p):
         return lambda slots: p
     ctor = p.ctor
-    table = []
-    for i, c in enumerate(p.children):
-        if isinstance(c, Var):
-            table.append((_HOLE, slot[c.name]))
-        elif isinstance(c, Wildcard):
-            table.append((_HOLE, slot[at + (i,)]))
-        elif isinstance(c, Node) and _has_holes(c):
-            table.append((_SUB, _builder(c, slot, at + (i,))))
-        else:
-            table.append((_CONST, c))
-    table = tuple(table)
+    table = tuple(
+        (_HOLE, slot[here + (i,)])
+        if here + (i,) in slot
+        else (_CONST, c)
+        if is_ground(c)
+        else (_SUB, _builder(c, slot, here + (i,)))
+        for i, c in enumerate(p.children)
+    )
 
     def build(slots: Sequence[Tree]) -> Tree:
         return Node(
@@ -212,12 +205,6 @@ def _builder(p: Pattern, slot: dict, at: Path) -> Callable[[Sequence[Tree]], Tre
         )
 
     return build
-
-
-def _has_holes(p: Pattern) -> bool:
-    if isinstance(p, (Var, Wildcard)):
-        return True
-    return isinstance(p, Node) and any(_has_holes(c) for c in p.children)
 
 
 def _merger(p: Pattern) -> Callable[[Pattern], "list[Tree] | None"]:

@@ -253,15 +253,3 @@ def _build_default(sch: Schema, name: str, sizes: dict[str, int]) -> Tree:
         tuple(_build_default(sch, sch.resolve(a), sizes) for a in best.arg_types),
     )
 
-
-def fill_wildcards_default(sch: Schema, p: Pattern, holes: dict[Path, str]) -> Pattern:
-    """Replace every wildcard of ``p`` by the default of its type in ``holes``."""
-
-    def walk(q: Pattern, path: Path) -> Pattern:
-        if isinstance(q, Wildcard):
-            return default_value(sch, holes[path])
-        if isinstance(q, Node):
-            return Node(q.ctor, tuple(walk(a, path + (i,)) for i, a in enumerate(q.children)))
-        return q
-
-    return walk(p, ())

@@ -9,6 +9,12 @@ built, compared and rendered the same way.  Links are finite relations
 between (pattern, path) regions of two trees.  All values are immutable and
 freely shareable.
 
+``decompose``, ``fill_wildcards``, ``reconstruct``, ``region_contains``,
+``links_valid`` and ``tree_size`` are test oracles: the generic, recursive
+definitions that the compiled rules, the engine and the edits are checked
+against.  No other module of the package uses them, so a fault in the code
+under test cannot leak into its reference.
+
 Paths are absolute index tuples.  Sharing their prefixes cannot make a CLI
 round sub-quadratic on spines, because the link text spells out every path:
 get's 386 links on a left-deep sum of 128 terms hold 49,409 path indices and
@@ -44,10 +50,6 @@ class WildcardPresent(TreeError):
 
 class UnboundVariable(TreeError):
     """Reconstruction found a variable missing from the binding."""
-
-
-class VariableAbsent(TreeError):
-    """The requested variable does not occur in the pattern."""
 
 
 Path = tuple[int, ...]
@@ -130,21 +132,6 @@ def is_match(p: Pattern, t: Tree) -> bool:
     return True
 
 
-def vars_of(p: Pattern) -> tuple[str, ...]:
-    """Variable names of ``p`` in left-to-right occurrence order."""
-    out: list[str] = []
-
-    def walk(q: Pattern) -> None:
-        if isinstance(q, Var):
-            out.append(q.name)
-        elif isinstance(q, Node):
-            for a in q.children:
-                walk(a)
-
-    walk(p)
-    return tuple(out)
-
-
 def decompose(p: Pattern, t: Tree) -> dict[str, Tree]:
     """Map every variable of ``p`` to the subtree of ``t`` it matches."""
     out: dict[str, Tree] = {}
@@ -205,25 +192,6 @@ def erase_vars(p: Pattern) -> Pattern:
     if isinstance(p, Node):
         return Node(p.ctor, tuple(erase_vars(a) for a in p.children))
     return p
-
-
-def var_path(p: Pattern, x: str) -> Path:
-    """Path from the root of ``p`` to the (unique) occurrence of variable ``x``."""
-
-    def walk(q: Pattern, acc: Path) -> Path | None:
-        if isinstance(q, Var) and q.name == x:
-            return acc
-        if isinstance(q, Node):
-            for i, a in enumerate(q.children):
-                hit = walk(a, acc + (i,))
-                if hit is not None:
-                    return hit
-        return None
-
-    found = walk(p, ())
-    if found is None:
-        raise VariableAbsent(x)
-    return found
 
 
 def is_ground(p: Pattern) -> bool:

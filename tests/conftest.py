@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from treelens import Node, lens, load_program, parse_tree
+from treelens import Node, Wildcard, check_tree_type, default_value, lens, load_program, parse_tree
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "lens_examples"
 
@@ -22,6 +22,25 @@ def subtrees(t):
         if isinstance(cur, Node):
             for i in range(len(cur.children) - 1, -1, -1):
                 stack.append((path + (i,), cur.children[i]))
+
+
+def defaulted(sch, ty, pattern):
+    """``pattern`` with each wildcard set to ``default_value`` of its hole type.
+
+    The reference for a rebuilt core: ``reconstruct`` of it is what a rule's
+    ``build_source`` over its ``defaults`` must give.
+    """
+    holes: dict = {}
+    check_tree_type(sch, ty, pattern, holes)
+
+    def walk(q, path):
+        if isinstance(q, Wildcard):
+            return default_value(sch, holes[path])
+        if isinstance(q, Node):
+            return Node(q.ctor, tuple(walk(c, path + (i,)) for i, c in enumerate(q.children)))
+        return q
+
+    return walk(pattern, ())
 
 
 @pytest.fixture(scope="session")

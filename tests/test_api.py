@@ -1,3 +1,5 @@
+import ast
+from pathlib import Path
 from types import ModuleType
 
 import treelens
@@ -14,3 +16,29 @@ def test_star_import_binds_the_api_and_no_submodules():
     for name in ("lens", "Lens", "LensHandle", "CompositeLens", "verify_laws", "parse_tree"):
         assert name in ns
     assert "divide" not in ns and "add_v_prefix" not in ns
+
+
+ORACLES = {"decompose", "fill_wildcards", "reconstruct", "region_contains", "links_valid", "tree_size"}
+
+
+def test_only_trees_references_the_test_oracles():
+    # The generic helpers are the references the tests check compiled rules,
+    # the engine and the edits against, so no module under test may use them.
+    pkg = Path(treelens.__file__).parent
+    used = {}
+    for module in sorted(pkg.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.FunctionDef):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+                names.add(node.asname or "")
+        used[module.stem] = names & ORACLES
+    assert used.pop("trees") == ORACLES
+    assert "engine" in used and "plan" in used
+    assert {m: n for m, n in used.items() if n} == {}

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import EXAMPLES, example_text
 from treelens.cli import run
 
@@ -237,6 +239,25 @@ def test_edit_untyped_mode(tmp_path):
         "edit", "-v", str(v), "-l", str(l), "-e", str(script),
         "-o", str(tmp_path / "v2.tree"), "-m", str(tmp_path / "l2.links"),
     ]) == 0
+
+
+@pytest.mark.parametrize(
+    "given,missing", [("-p", "-r"), ("-r", "-p")], ids=["program-only", "relation-only"]
+)
+def test_edit_needs_both_halves_of_a_typing_context(tmp_path, capsys, given, missing):
+    # One half alone used to run the edit untyped: inserting a String into
+    # the book's group list succeeded, where the full context rejects it.
+    view, links, script = tmp_path / "v.tree", tmp_path / "l.links", tmp_path / "s.edits"
+    view.write_text("SocialBook Nil\n")
+    links.write_text("")
+    script.write_text('insert [0] 0 ("x")\n')
+    halves = {"-p": ["-p", str(EXAMPLES / "addrbook.lens")], "-r": ["-r", "AddrBook", "SocialBook"]}
+    base = ["edit", "-v", str(view), "-l", str(links), "-e", str(script), "-o", str(tmp_path / "o")]
+    assert run(base + halves[given]) == 1
+    assert capsys.readouterr().err == f"usage error: edit {given} needs {missing}\n"
+    assert not (tmp_path / "o").exists()
+    assert run(base + halves["-p"] + halves["-r"]) == 4
+    capsys.readouterr()
 
 
 def test_put_rejection_message_names_link_and_path(tmp_path, capsys):

@@ -9,10 +9,8 @@ from treelens import (
     Region,
     StrLeaf,
     Var,
-    fill_wildcards,
     fst_projection,
     lens,
-    links_valid,
     load_program,
     parse_pattern,
     parse_tree,
@@ -47,7 +45,7 @@ from treelens.edits import (
 from treelens.engine import IllTypedInput
 from treelens.harness import _list_elements, _typed_positions, gen_tree
 from treelens.schema import type_at
-from treelens.trees import MatchFailure, PathOutOfRange
+from treelens.trees import MatchFailure, PathOutOfRange, fill_wildcards, links_valid
 
 
 def _state(h, s):
@@ -236,6 +234,16 @@ def test_insert_into_empty_list_needs_context(addrbook):
     ctx = EditContext(addrbook.schema, "SocialGroup")
     out = insert(st, (1,), 0, parse_tree('"Zoe"'), ctx)
     assert out.view == parse_tree('SocialGroup "g" (Cons "Zoe" Nil)')
+
+
+def test_untyped_list_ops_trust_the_spine_shape(addrbook):
+    # `SocialGroup "g" Nil` is a one-cell spine by shape, so only a typing
+    # context can tell that it is a group, not a list.
+    st = EditState(parse_tree('SocialBook (Cons (SocialGroup "g" Nil) Nil)'), frozenset())
+    out = insert(st, (0, 0), 0, parse_tree('"x"'))
+    assert out.view == parse_tree('SocialBook (Cons (SocialGroup "x" (SocialGroup "g" Nil)) Nil)')
+    with pytest.raises(IllTypedInput):
+        insert(st, (0, 0), 0, parse_tree('"x"'), EditContext(addrbook.schema, "SocialBook"))
 
 
 # ---------------------------------------------------------------------------

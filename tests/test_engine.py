@@ -11,7 +11,6 @@ from treelens import (
     Var,
     fst_projection,
     lens,
-    links_valid,
     load_program,
     parse_links,
     parse_pattern,
@@ -19,7 +18,7 @@ from treelens import (
     render_pattern,
 )
 from treelens.engine import IllTypedInput, InvalidLinks, UnknownRelation
-from treelens.trees import Wildcard
+from treelens.trees import Wildcard, links_valid
 
 
 def _link(sp, spath, vp, vpath):

@@ -11,7 +11,6 @@ from treelens import (
 )
 from treelens.frontend import ValidationError, normalize_type_name
 from treelens.text import LensSyntaxError, render_pattern
-from treelens.trees import reconstruct
 
 ARITH = example_text("arith.lens")
 
@@ -165,34 +164,30 @@ def test_inj_table_rosetree():
     assert vp.inj_table == {}
 
 
+def _convert(chain, t):
+    """``t`` wrapped by each rule of a conversion chain, innermost first."""
+    for r in chain:
+        t = r.build_source([*r.defaults, t])
+    return t
+
+
 def test_inj_table_fromt(arith):
-    steps = arith.inj_table[("Term", "Expr", "Arith")]
-    x = parse_tree('Neg "a neg" (Lit "" 1)')
-    out = x
-    for step in steps:
-        out = reconstruct(step.pattern, {step.var: out})
+    out = _convert(arith.inj_table[("Term", "Expr", "Arith")], parse_tree('Neg "a neg" (Lit "" 1)'))
     assert out == parse_tree('FromT "" (Neg "a neg" (Lit "" 1))')
 
 
 def test_inj_table_paren(arith):
-    steps = arith.inj_table[("Expr", "Term", "Arith")]
-    e = parse_tree('FromT "" (Lit "" 1)')
-    out = e
-    for step in steps:
-        out = reconstruct(step.pattern, {step.var: out})
+    out = _convert(arith.inj_table[("Expr", "Term", "Arith")], parse_tree('FromT "" (Lit "" 1)'))
     assert out == parse_tree('Paren "" (FromT "" (Lit "" 1))')
 
 
 def test_inj_preserves_get(arith, arith_expr, arith_term):
     from treelens.harness import gen_tree
 
-    steps = arith.inj_table[("Term", "Expr", "Arith")]
+    chain = arith.inj_table[("Term", "Expr", "Arith")]
     for seed in range(40):
         t = gen_tree(arith.schema, "Term", 25, seed)
-        wrapped = t
-        for step in steps:
-            wrapped = reconstruct(step.pattern, {step.var: wrapped})
-        assert arith_expr.get(wrapped)[0] == arith_term.get(t)[0]
+        assert arith_expr.get(_convert(chain, t))[0] == arith_term.get(t)[0]
 
 
 def test_missing_conversion_rejected():

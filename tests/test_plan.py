@@ -1,15 +1,16 @@
-"""Rule plans against the generic ``trees`` helpers they replace in the engine.
+"""Compiled rules against the generic ``trees`` helpers they replace in the engine.
 
-Each plan closure must agree with the helper composition it stands for:
-``is_match`` for the match verdicts, ``decompose`` for the bindings,
+Each closure of a rule must agree with the helper composition it stands
+for: ``is_match`` for the match verdicts, ``decompose`` for the bindings,
 ``erase_vars(fill_wildcards(...))`` for get's region and ``reconstruct`` for
 every rebuilt tree.  ``merge`` has no public helper; its reference is the
-recursive region merge written out below.
+recursive region merge written out below.  A rule's variable records must
+agree with the typing walk's hole map and the program's relations.
 """
 
 import pytest
 
-from conftest import EXAMPLES, subtrees
+from conftest import EXAMPLES, defaulted, subtrees
 from treelens import (
     WILDCARD,
     IntLeaf,
@@ -17,19 +18,18 @@ from treelens import (
     StrLeaf,
     Var,
     Wildcard,
-    decompose,
+    check_tree_type,
     erase_vars,
-    fill_wildcards,
     is_match,
     lens,
     load_program,
     parse_program,
-    reconstruct,
+    sel,
 )
-from treelens.frontend import _compile_rule
+from treelens.frontend import Relation, _compile_rule
 from treelens.harness import corrupt_links, gen_tree
-from treelens.plan import compile_plan
-from treelens.trees import is_ground
+from treelens.schema import PRIMITIVES
+from treelens.trees import decompose, fill_wildcards, is_ground, reconstruct
 
 SEEDS = range(50)
 
@@ -77,39 +77,38 @@ def _reference_merge(rule_source, region):
     return Node(rule_source.ctor, tuple(merged))
 
 
-def _assert_source_side(rule, t):
-    plan = rule.plan
-    assert plan.match_source(t) is is_match(rule.source, t)
+def _assert_source_side(rule, core, t):
+    """``core`` is the rule's source pattern with its wildcards defaulted."""
+    assert rule.match_source(t) is is_match(rule.source, t)
     if not is_match(rule.source, t):
         return
     b = decompose(rule.source, t)
-    assert {x.name: x.source_at(t) for x in plan.variables} == b
-    region = plan.region(t)
+    assert {x.name: x.source_at(t) for x in rule.variables} == b
+    region = rule.region(t)
     assert region == erase_vars(fill_wildcards(rule.source, t))
-    parts = [b[x.name] for x in plan.variables]
-    fills = plan.merge(region)
+    parts = [b[x.name] for x in rule.variables]
+    fills = rule.merge(region)
     assert fills is not None
-    assert plan.source(fills + parts) == reconstruct(fill_wildcards(rule.source, t), b) == t
-    assert plan.source(list(plan.defaults) + parts) == reconstruct(rule.source_defaulted, b)
+    assert rule.build_source(fills + parts) == reconstruct(fill_wildcards(rule.source, t), b) == t
+    assert rule.build_source([*rule.defaults] + parts) == reconstruct(core, b)
 
 
 def _assert_view_side(rule, v):
-    plan = rule.plan
-    assert plan.match_view(v) is is_match(rule.view, v)
+    assert rule.match_view(v) is is_match(rule.view, v)
     if not is_match(rule.view, v):
         return
     b = decompose(rule.view, v)
-    assert {x.name: x.view_at(v) for x in plan.variables} == b
-    assert plan.view([b[x.name] for x in plan.variables]) == reconstruct(rule.view, b) == v
+    assert {x.name: x.view_at(v) for x in rule.variables} == b
+    assert rule.build_view([b[x.name] for x in rule.variables]) == reconstruct(rule.view, b) == v
 
 
 def _assert_merge(rule, region):
     ref = _reference_merge(rule.source, region)
-    fills = rule.plan.merge(region)
+    fills = rule.merge(region)
     assert (fills is None) == (ref is None), (rule.source, region)
     if ref is not None:
-        parts = {x: StrLeaf(f"<{x}>") for x in rule.variables}
-        assert rule.plan.source(fills + [parts[x] for x in rule.variables]) == reconstruct(
+        parts = {x.name: StrLeaf(f"<{x.name}>") for x in rule.variables}
+        assert rule.build_source(fills + [parts[x.name] for x in rule.variables]) == reconstruct(
             ref, parts
         )
 
@@ -126,6 +125,11 @@ def _region_variants(region):
 @pytest.mark.parametrize("vp,rel", _relations())
 def test_plans_agree_with_the_generic_helpers(vp, rel):
     rules = [r for other in vp.relations for r in other.rules]
+    cores = {
+        r: defaulted(vp.schema, other.source_type, r.source)
+        for other in vp.relations
+        for r in other.rules
+    }
     for seed in SEEDS:
         s = gen_tree(vp.schema, rel.source_type, 25, seed)
         v = gen_tree(vp.schema, rel.view_type, 25, seed)
@@ -133,7 +137,7 @@ def test_plans_agree_with_the_generic_helpers(vp, rel):
         # each kind (constructor, arity, literal, nested) are exercised.
         for _, t in subtrees(s):
             for rule in rules:
-                _assert_source_side(rule, t)
+                _assert_source_side(rule, cores[rule], t)
         for _, t in subtrees(v):
             for rule in rules:
                 _assert_view_side(rule, t)
@@ -144,8 +148,26 @@ def test_plans_agree_with_the_generic_helpers(vp, rel):
                     _assert_merge(rule, region)
 
 
+@pytest.mark.parametrize("vp,rel", _relations())
+def test_rule_variables_agree_with_the_typing_walk(vp, rel):
+    for rule in rel.rules:
+        holes: list = [{}, {}]
+        check_tree_type(vp.schema, rel.source_type, rule.source, holes[0])
+        check_tree_type(vp.schema, rel.view_type, rule.view, holes[1])
+        wildcards = [h for h in holes[0] if isinstance(sel(rule.source, h), Wildcard)]
+        assert len(rule.defaults) == len(wildcards)
+        names = [sel(rule.source, h).name for h in holes[0] if h not in wildcards]
+        assert [x.name for x in rule.variables] == names
+        assert rule.bare_view is isinstance(rule.view, Var)
+        for x in rule.variables:
+            assert sel(rule.source, x.source_path) == sel(rule.view, x.view_path) == Var(x.name)
+            assert (x.source_type, x.view_type) == (holes[0][x.source_path], holes[1][x.view_path])
+            primitive = x.source_type in PRIMITIVES
+            assert x.relation is (None if primitive else vp.relation(x.source_type, x.view_type))
+
+
 _LITERAL_NESTED = """\
-data T = A Int Pr | B String | C
+data T = A Int Pr | B String | C | D Int String T
 data Pr = Pr String T
 data V = VA V | VB String | VC
 
@@ -153,32 +175,37 @@ T <---> V
   A 7 (Pr _ t) ~ VA t
   B s ~ VB s
   C ~ VC
+  D _ _ t ~ VA t
+  _ ~ VC
 """
 
 
 def test_plans_with_a_literal_and_a_nested_constructor():
     # A literal in a source pattern cannot pass validation (coverage needs a
     # wild row at its position, which overlaps it), so the rules are
-    # compiled one by one.
+    # compiled one by one.  `D _ _ t` has two wildcards of different types,
+    # so its defaults must come in preorder; `_` is a wildcard at the root.
     prog = parse_program(_LITERAL_NESTED)
     (raw_rel,) = prog.relations
-    rules = []
-    for i, raw in enumerate(raw_rel.rules):
-        rule = _compile_rule(prog.schema, raw_rel, raw, i, [])
-        rule.plan = compile_plan(rule, lambda sty, vty: None if sty == "String" else raw_rel)
-        rules.append(rule)
+    rel = Relation("T", "V", raw_rel.source_expr, raw_rel.view_expr, raw_rel.line)
+    rules = [
+        _compile_rule(prog.schema, raw_rel, raw, i, {("T", "V"): rel}, [])
+        for i, raw in enumerate(raw_rel.rules)
+    ]
     a_rule = rules[0]
-    assert a_rule.variables == ("t",) and a_rule.plan.variables[0].source_path == (1, 1)
+    (t_var,) = a_rule.variables
+    assert (t_var.name, t_var.source_path) == ("t", (1, 1)) and t_var.relation is rel
+    cores = {rule: defaulted(prog.schema, "T", rule.source) for rule in rules}
     for seed in range(200):
         t = gen_tree(prog.schema, "T", 20, seed)
         for _, sub in subtrees(t):
             for rule in rules:
-                _assert_source_side(rule, sub)
+                _assert_source_side(rule, cores[rule], sub)
                 _assert_merge(rule, sub)
     hit = Node("A", (IntLeaf(7), Node("Pr", (StrLeaf("c"), Node("C")))))
     miss = Node("A", (IntLeaf(8), Node("Pr", (StrLeaf("c"), Node("C")))))
-    assert a_rule.plan.match_source(hit) and not a_rule.plan.match_source(miss)
-    region = a_rule.plan.region(hit)
+    assert a_rule.match_source(hit) and not a_rule.match_source(miss)
+    region = a_rule.region(hit)
     assert region == Node("A", (IntLeaf(7), Node("Pr", (StrLeaf("c"), WILDCARD))))
     for r in _region_variants(region):
         _assert_merge(a_rule, r)

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from conftest import example_text
+from conftest import EXAMPLES, defaulted, example_text
 from treelens import (
+    check_tree_type,
     fst_projection,
     lens,
     load_program,
     parse_links,
     parse_tree,
+    render_pattern,
     verify_laws,
 )
 from treelens.edits import Copy, EditContext, EditState, apply_script
@@ -92,9 +94,40 @@ def test_three_step_conversion_chain_synthesis():
     two = vp.inj_table[("A", "B", "V")]
     assert len(two) == 2
     x = parse_tree("MkA 5")
-    for step in two:
-        x = reconstruct(step.pattern, {step.var: x})
+    for r in two:
+        x = r.build_source([*r.defaults, x])
     assert x == parse_tree("WrapC (WrapA (MkA 5))")
+
+
+def _chains():
+    programs = [(p.name, p.read_text(encoding="utf-8")) for p in sorted(EXAMPLES.glob("*.lens"))]
+    for name, text in programs + [("THREE_CHAIN", THREE_CHAIN)]:
+        vp = load_program(text, name)
+        for key in vp.inj_table:
+            yield pytest.param(vp, key, id=f"{name}:{key[0]}>{key[1]}@{key[2]}")
+
+
+@pytest.mark.parametrize("vp,key", list(_chains()))
+def test_every_conversion_chain_matches_its_reference(vp, key):
+    # Each rule of the chain, applied through its compiled builder, against
+    # ``reconstruct`` of its source pattern with every wildcard defaulted.
+    frm, to, vty = key
+    chain = vp.inj_table[key]
+    owner = {r: rel for rel in vp.relations for r in rel.rules}
+    assert chain and chain[0].variables[0].source_type == frm
+    assert owner[chain[-1]].source_type == to
+    for inner, outer in zip(chain, chain[1:]):
+        assert outer.variables[0].source_type == owner[inner].source_type
+    cores = [defaulted(vp.schema, owner[r].source_type, r.source) for r in chain]
+    for seed in range(30):
+        t = gen_tree(vp.schema, frm, 25, seed)
+        out = ref = t
+        for r, core in zip(chain, cores):
+            out = r.build_source([*r.defaults, out])
+            ref = reconstruct(core, {r.variables[0].name: ref})
+        assert out == ref, render_pattern(t)
+        check_tree_type(vp.schema, to, out)
+        assert lens(vp, to, vty).get(out)[0] == lens(vp, frm, vty).get(t)[0]
 
 
 def test_multi_step_conversion_through_put():

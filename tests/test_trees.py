@@ -11,28 +11,25 @@ from treelens import (
     StrLeaf,
     Var,
     WILDCARD,
-    decompose,
     erase_vars,
-    fill_wildcards,
     is_match,
     link_compose,
     link_converse,
-    links_valid,
     parse_pattern,
     parse_tree,
-    reconstruct,
-    region_contains,
     sel,
-    var_path,
 )
 from treelens.trees import (
     MatchFailure,
     PathOutOfRange,
     UnboundVariable,
-    VariableAbsent,
     WildcardPresent,
+    decompose,
+    fill_wildcards,
+    links_valid,
+    reconstruct,
+    region_contains,
     tree_size,
-    vars_of,
 )
 
 
@@ -125,14 +122,6 @@ def test_fill_wildcards_mismatch():
 )
 def test_erase_vars(pat, expected):
     assert erase_vars(parse_pattern(pat)) == parse_pattern(expected)
-
-
-def test_var_path():
-    assert var_path(parse_pattern("Plus _ x y"), "y") == (2,)
-    assert var_path(parse_pattern("x"), "x") == ()
-    assert var_path(parse_pattern("Sub (Num 0) r"), "r") == (1,)
-    with pytest.raises(VariableAbsent):
-        var_path(parse_pattern("Add x y"), "z")
 
 
 def test_region_contains(demo_cst):
@@ -293,10 +282,6 @@ def test_link_compose_associative(seed):
 def test_tree_size_counts_leaves(demo_cst):
     assert tree_size(parse_tree('Lit "x" 1')) == 3
     assert tree_size(demo_cst) == 17
-
-
-def test_vars_of_order():
-    assert vars_of(parse_pattern("Plus _ x y")) == ("x", "y")
 
 
 @pytest.mark.parametrize("indices", [(0, 1, 2), (0, 1, 255, 256, 300), (-1, 0, 1)])
