@@ -221,8 +221,8 @@ def _cell_types(ctx: EditContext, view: Tree, list_path: Path, cons: str, n: int
     sch, ty, cells = ctx.schema, _type_at(ctx, view, list_path), []
     for _ in range(n):
         c = sch.constructor(ty, cons)  # type: ignore[arg-type]
-        cells.append(sch.resolve(c.arg_types[0]))  # type: ignore[union-attr]
-        ty = sch.resolve(c.arg_types[1])  # type: ignore[union-attr]
+        cells.append(c.arg_types[0])  # type: ignore[union-attr]
+        ty = c.arg_types[1]  # type: ignore[union-attr]
     return cells
 
 

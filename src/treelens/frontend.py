@@ -2,10 +2,13 @@
 
 A program is a list of type declarations followed by one or more consistency
 relations, each a ``S <---> V`` header over inductive rules ``spat ~ vpat``.
-Parsing monomorphizes generic declarations (``data List a = ...``) at every
-ground application mentioned by the program, resolves ``type`` synonyms, and
-keeps the surface spelling of every type expression so programs print back
-byte-for-byte.
+Type expressions are terms, read by ``text.parse_term`` like the rules'
+patterns: a type ends at the first token no type may hold (``=``, ``|``,
+``<--->``), and a declaration's parameters are its variables.  Parsing
+monomorphizes generic declarations (``data List a = ...``) at every ground
+application mentioned by the program and resolves ``type`` synonyms, so a
+schema names every type canonically, while the program keeps the surface
+spelling of every type expression and prints back byte-for-byte.
 
 Validation enforces, per relation: pattern coverage on both sides (view-side
 failures are warnings; see ``W-view-coverage``), pairwise source-pattern
@@ -41,25 +44,10 @@ from .trees import Node, Path, Pattern, Var, Wildcard, WILDCARD, sel
 _INSTANTIATION_DEPTH_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class TypeExpr:
-    """A possibly-applied type name as written in the program."""
-
-    name: str
-    args: tuple["TypeExpr", ...] = ()
-
-
-def render_type_expr(e: TypeExpr, parenthesize: bool = False) -> str:
-    if not e.args:
-        return e.name
-    body = e.name + " " + " ".join(render_type_expr(a, True) for a in e.args)
-    return f"({body})" if parenthesize else body
-
-
 @dataclass
 class SynDecl:
     name: str
-    target: TypeExpr
+    target: Node
     line: int
 
 
@@ -67,7 +55,7 @@ class SynDecl:
 class DataDecl:
     name: str
     params: tuple[str, ...]
-    ctors: list[tuple[str, tuple[TypeExpr, ...]]]
+    ctors: list[Node]  # each alternative: its constructor over argument types
     line: int
 
 
@@ -80,8 +68,8 @@ class RawRule:
 
 @dataclass
 class RawRelation:
-    source_expr: TypeExpr
-    view_expr: TypeExpr
+    source_expr: Node
+    view_expr: Node
     source_type: str
     view_type: str
     rules: list[RawRule]
@@ -122,35 +110,29 @@ class ValidationError(Exception):
 # Parsing
 
 
-def _parse_type_atom(cur: TokenCursor, allow_params: bool) -> TypeExpr:
-    tok = cur.peek()
-    if tok is None:
-        raise LensSyntaxError("expected a type", cur.line, 0)
-    if tok.kind == "UIDENT":
-        cur.next()
-        return TypeExpr(tok.text)
-    if tok.kind == "LIDENT" and allow_params:
-        cur.next()
-        return TypeExpr(tok.text)
-    if tok.kind == "LPAR":
-        cur.next()
-        inner = _parse_type_app(cur, allow_params)
-        cur.expect("RPAR")
-        return inner
-    raise LensSyntaxError(f"expected a type, found {tok.text!r}", tok.line, tok.col)
+# Tokens a type expression may contain; a parameter only in a ``data``
+# alternative.  Any other token ends the type.
+_TYPE_TOKENS = frozenset(("UIDENT", "LPAR", "RPAR"))
+_ALTERNATIVE_TOKENS = _TYPE_TOKENS | {"LIDENT"}
 
 
-def _parse_type_app(cur: TokenCursor, allow_params: bool) -> TypeExpr:
-    head = cur.peek()
-    if head is not None and head.kind == "UIDENT":
-        cur.next()
-        args: list[TypeExpr] = []
-        while (nxt := cur.peek()) is not None and nxt.kind in ("UIDENT", "LIDENT", "LPAR"):
-            if nxt.kind == "LIDENT" and not allow_params:
-                break
-            args.append(_parse_type_atom(cur, allow_params))
-        return TypeExpr(head.text, tuple(args))
-    return _parse_type_atom(cur, allow_params)
+def _parse_type(cur: TokenCursor, params: bool) -> Node:
+    """Read one type expression, a term, up to the first token that ends it.
+
+    The term's own errors at its end are reported at the line of that token,
+    which the caller reads next (``=``, ``|``, ``<--->`` or a stray token).
+    """
+    toks, end = cur.tokens, cur.pos
+    kinds = _ALTERNATIVE_TOKENS if params else _TYPE_TOKENS
+    while end < len(toks) and toks[end][0] in kinds:
+        end += 1
+    if end == cur.pos:
+        cur.expect("UIDENT")  # raises, naming the token that cannot start a type
+    sub = TokenCursor(toks[cur.pos : end], toks[end][2] if end < len(toks) else cur.line)
+    t = parse_term(sub, allow_vars=True)
+    sub.require_end()
+    cur.pos = end
+    return t  # type: ignore[return-value]  # a variable is never a whole type
 
 
 class _SchemaBuilder:
@@ -158,7 +140,7 @@ class _SchemaBuilder:
 
     def __init__(self) -> None:
         self.datas: dict[str, DataDecl] = {}
-        self.syns: dict[str, TypeExpr] = {}
+        self.syns: dict[str, Node] = {}
         self.schema = Schema()
 
     def declare(self, decl: SynDecl | DataDecl) -> None:
@@ -169,52 +151,48 @@ class _SchemaBuilder:
         else:
             self.syns[decl.name] = decl.target
 
-    def canonical(self, e: TypeExpr, env: dict[str, TypeExpr], line: int, depth: int = 0) -> TypeExpr:
+    def canonical(self, e: Pattern, env: dict[str, Node], line: int, depth: int = 0) -> Node:
+        """The ground type ``e`` denotes, its data instances declared on the way."""
         if depth > _INSTANTIATION_DEPTH_LIMIT:
             raise LensSyntaxError("type instantiation does not terminate", line, 1)
-        if e.name in env:
-            if e.args:
-                raise LensSyntaxError(f"type variable {e.name} cannot take arguments", line, 1)
+        if isinstance(e, Var):
+            if e.name not in env:
+                raise LensSyntaxError(f"unbound type variable {e.name}", line, 1)
             return env[e.name]
-        if e.name in self.syns:
-            if e.args:
-                raise LensSyntaxError(f"synonym {e.name} cannot take arguments", line, 1)
-            return self.canonical(self.syns[e.name], {}, line, depth + 1)
-        if e.name in PRIMITIVES:
-            if e.args:
-                raise LensSyntaxError(f"{e.name} takes no arguments", line, 1)
+        name, args = e.ctor, e.children
+        if name in self.syns:
+            if args:
+                raise LensSyntaxError(f"synonym {name} cannot take arguments", line, 1)
+            return self.canonical(self.syns[name], {}, line, depth + 1)
+        if name in PRIMITIVES:
+            if args:
+                raise LensSyntaxError(f"{name} takes no arguments", line, 1)
             return e
-        if e.name.islower() or e.name[0].islower():
-            raise LensSyntaxError(f"unbound type variable {e.name}", line, 1)
-        decl = self.datas.get(e.name)
+        decl = self.datas.get(name)
         if decl is None:
-            raise LensSyntaxError(f"unknown type {e.name}", line, 1)
-        if len(decl.params) != len(e.args):
+            raise LensSyntaxError(f"unknown type {name}", line, 1)
+        if len(decl.params) != len(args):
             raise LensSyntaxError(
-                f"type {e.name} expects {len(decl.params)} argument(s), got {len(e.args)}",
+                f"type {name} expects {len(decl.params)} argument(s), got {len(args)}",
                 line,
                 1,
             )
-        cargs = tuple(self.canonical(a, env, line, depth + 1) for a in e.args)
-        ce = TypeExpr(e.name, cargs)
+        ce = Node(name, tuple(self.canonical(a, env, line, depth + 1) for a in args))
         self._instantiate(ce, decl, line, depth)
         return ce
 
-    def _instantiate(self, ce: TypeExpr, decl: DataDecl, line: int, depth: int) -> None:
-        name = render_type_expr(ce)
+    def _instantiate(self, ce: Node, decl: DataDecl, line: int, depth: int) -> None:
+        name = render_pattern(ce)
         if name in self.schema.types:
             return
         self.schema.types[name] = ()  # placeholder breaks instantiation cycles
-        env = dict(zip(decl.params, ce.args))
+        env = dict(zip(decl.params, ce.children))
         ctors = tuple(
             Constructor(
-                cname,
-                tuple(
-                    render_type_expr(self.canonical(a, env, line, depth + 1))
-                    for a in argtypes
-                ),
+                alt.ctor,
+                tuple(render_pattern(self.canonical(a, env, line, depth + 1)) for a in alt.children),
             )
-            for cname, argtypes in decl.ctors
+            for alt in decl.ctors
         )
         self.schema.types[name] = ctors
 
@@ -222,11 +200,11 @@ class _SchemaBuilder:
         # Ground declarations become instances up front; synonyms resolve fully.
         for decl in decls:
             if isinstance(decl, DataDecl) and not decl.params:
-                self.canonical(TypeExpr(decl.name), {}, decl.line)
+                self.canonical(Node(decl.name), {}, decl.line)
         for decl in decls:
             if isinstance(decl, SynDecl):
                 target = self.canonical(decl.target, {}, decl.line)
-                self.schema.synonyms[decl.name] = render_type_expr(target)
+                self.schema.synonyms[decl.name] = render_pattern(target)
 
 
 def _logical_lines(text: str) -> list[tuple[int, list[Token]]]:
@@ -248,13 +226,11 @@ def _parse_data_decl(cur: TokenCursor, line: int) -> DataDecl:
     while (tok := cur.peek()) is not None and tok.kind == "LIDENT":
         params.append(cur.next().text)
     cur.expect("EQ")
-    ctors: list[tuple[str, tuple[TypeExpr, ...]]] = []
+    ctors: list[Node] = []
     while True:
-        cname = cur.expect("UIDENT").text
-        args: list[TypeExpr] = []
-        while (tok := cur.peek()) is not None and tok.kind in ("UIDENT", "LIDENT", "LPAR"):
-            args.append(_parse_type_atom(cur, allow_params=True))
-        ctors.append((cname, tuple(args)))
+        if (tok := cur.peek()) is None or tok.kind != "UIDENT":
+            cur.expect("UIDENT")  # an alternative starts with its constructor
+        ctors.append(_parse_type(cur, params=True))
         if (tok := cur.peek()) is not None and tok.kind == "PIPE":
             cur.next()
             continue
@@ -285,7 +261,7 @@ def parse_program(text: str, source_name: str = "<program>") -> Program:
             else:
                 name = cur.expect("UIDENT").text
                 cur.expect("EQ")
-                target = _parse_type_app(cur, allow_params=False)
+                target = _parse_type(cur, params=False)
                 cur.require_end()
                 decl = SynDecl(name, target, lineno)
             decls.append(decl)
@@ -309,9 +285,9 @@ def parse_program(text: str, source_name: str = "<program>") -> Program:
     builder.finish(decls)
 
     for (lineno, cur), rules in zip(headers, pending_rules):
-        source_expr = _parse_type_app(cur, allow_params=False)
+        source_expr = _parse_type(cur, params=False)
         cur.expect("REL")
-        view_expr = _parse_type_app(cur, allow_params=False)
+        view_expr = _parse_type(cur, params=False)
         cur.require_end()
         if not rules:
             raise LensSyntaxError("a relation needs at least one rule", lineno, 1)
@@ -321,8 +297,8 @@ def parse_program(text: str, source_name: str = "<program>") -> Program:
             RawRelation(
                 source_expr,
                 view_expr,
-                render_type_expr(sce),
-                render_type_expr(vce),
+                render_pattern(sce),
+                render_pattern(vce),
                 rules,
                 lineno,
             )
@@ -337,17 +313,13 @@ def render_program(p: Program) -> str:
     out: list[str] = []
     for decl in p.decls:
         if isinstance(decl, SynDecl):
-            out.append(f"type {decl.name} = {render_type_expr(decl.target)}")
+            out.append(f"type {decl.name} = {render_pattern(decl.target)}")
         else:
             head = decl.name if not decl.params else decl.name + " " + " ".join(decl.params)
-            ctors = " | ".join(
-                cname if not args else cname + " " + " ".join(render_type_expr(a, True) for a in args)
-                for cname, args in decl.ctors
-            )
-            out.append(f"data {head} = {ctors}")
+            out.append(f"data {head} = {' | '.join(map(render_pattern, decl.ctors))}")
     for rel in p.relations:
         out.append("")
-        out.append(f"{render_type_expr(rel.source_expr)} <---> {render_type_expr(rel.view_expr)}")
+        out.append(f"{render_pattern(rel.source_expr)} <---> {render_pattern(rel.view_expr)}")
         for rule in rel.rules:
             out.append(f"  {render_pattern(rule.source)} ~ {render_pattern(rule.view)}")
     return "\n".join(out) + "\n"
@@ -356,15 +328,14 @@ def render_program(p: Program) -> str:
 def normalize_type_name(program: Program | "ValidatedProgram", text: str) -> str:
     """Resolve a user-written type expression to its canonical ground name."""
     cur = TokenCursor(tokenize(text), 1)
-    expr = _parse_type_app(cur, allow_params=False)
+    expr = _parse_type(cur, params=False)
     cur.require_end()
     schema = program.schema
 
-    def walk(e: TypeExpr) -> str:
-        if not e.args:
-            return schema.resolve(e.name)
-        inner = e.name + " " + " ".join(_paren(walk(a)) for a in e.args)
-        return inner
+    def walk(e: Node) -> str:
+        if not e.children:
+            return schema.resolve(e.ctor)
+        return e.ctor + " " + " ".join(_paren(walk(a)) for a in e.children)
 
     return walk(expr)
 
@@ -383,8 +354,6 @@ class Relation:
 
     source_type: str
     view_type: str
-    source_expr: TypeExpr
-    view_expr: TypeExpr
     line: int
     rules: tuple[Rule, ...] = ()
 
@@ -425,11 +394,11 @@ def _covers(sch: Schema, rows: list[tuple[Pattern, ...]], tys: tuple[str, ...]) 
     if any(all(_wildish(p) for p in row) for row in rows):
         return True
     t0 = tys[0]
-    if sch.is_primitive(t0):
+    if t0 in PRIMITIVES:
         # Literals never exhaust a primitive; only wild rows survive.
         sub = [row[1:] for row in rows if _wildish(row[0])]
         return _covers(sch, sub, tys[1:])
-    for c in sch.constructors(t0):
+    for c in sch.types[t0]:
         arity = len(c.arg_types)
         sub = []
         for row in rows:
@@ -438,14 +407,14 @@ def _covers(sch: Schema, rows: list[tuple[Pattern, ...]], tys: tuple[str, ...]) 
                 sub.append(h.children + row[1:])
             elif _wildish(h):
                 sub.append((WILDCARD,) * arity + row[1:])
-        subtys = tuple(sch.resolve(a) for a in c.arg_types) + tys[1:]
+        subtys = c.arg_types + tys[1:]
         if not _covers(sch, sub, subtys):
             return False
     return True
 
 
 def covers_type(sch: Schema, ty: str, patterns: list[Pattern]) -> bool:
-    return _covers(sch, [(p,) for p in patterns], (sch.resolve(ty),))
+    return _covers(sch, [(p,) for p in patterns], (ty,))
 
 
 def patterns_overlap(p: Pattern, q: Pattern) -> bool:
@@ -536,14 +505,11 @@ def _compile_rule(
 def reachable_types(sch: Schema, ty: str) -> frozenset:
     """Types reachable from ``ty`` through constructor arguments (proper)."""
     seen: set[str] = set()
-    frontier = deque([sch.resolve(ty)])
+    frontier = deque([ty])
     while frontier:
         cur = frontier.popleft()
-        if cur in PRIMITIVES:
-            continue
-        for c in sch.types.get(cur, ()):
+        for c in sch.types.get(cur, ()):  # a primitive has no constructors
             for a in c.arg_types:
-                a = sch.resolve(a)
                 if a not in seen:
                     seen.add(a)
                     frontier.append(a)
@@ -614,7 +580,7 @@ def validate_program(program: Program) -> ValidatedProgram:
     owner: dict[str, str] = {}
     for decl in program.decls:
         if isinstance(decl, DataDecl):
-            for cname, _ in decl.ctors:
+            for cname in (alt.ctor for alt in decl.ctors):
                 if cname in owner:
                     diags.append(
                         Diagnostic(
@@ -638,10 +604,7 @@ def validate_program(program: Program) -> ValidatedProgram:
         pair_set.add(key)
 
     # Relations exist before their rules, whose variables refer to them.
-    relations = [
-        Relation(r.source_type, r.view_type, r.source_expr, r.view_expr, r.line)
-        for r in program.relations
-    ]
+    relations = [Relation(r.source_type, r.view_type, r.line) for r in program.relations]
     by_pair = {(r.source_type, r.view_type): r for r in relations}
     for relation, rel in zip(relations, program.relations):
         compiled = [_compile_rule(sch, rel, raw, i, by_pair, diags) for i, raw in enumerate(rel.rules)]

@@ -35,7 +35,7 @@ from .edits import (
     render_script,
 )
 from .engine import InvalidLinks
-from .schema import Schema, default_value, type_at
+from .schema import Schema, default_value
 from .text import render_links, render_pattern
 from .trees import (
     IntLeaf,
@@ -58,7 +58,8 @@ def gen_tree(sch: Schema, ty: str, size_bound: int, seed: int) -> Tree:
     """Well-typed tree of ``ty`` with at most ``size_bound`` nodes."""
     rng = random.Random(seed)
     sizes = sch.min_sizes()
-    return _gen(sch, sch.resolve(ty), max(size_bound, sizes.get(sch.resolve(ty), 1)), rng, sizes)
+    ty = sch.resolve(ty)
+    return _gen(sch, ty, max(size_bound, sizes.get(ty, 1)), rng, sizes)
 
 
 def _gen(sch: Schema, ty: str, budget: int, rng: random.Random, sizes: dict[str, int]) -> Tree:
@@ -68,17 +69,16 @@ def _gen(sch: Schema, ty: str, budget: int, rng: random.Random, sizes: dict[str,
         return StrLeaf(rng.choice(_STRINGS))
     fitting = [
         c
-        for c in sch.constructors(ty)
-        if all(sch.resolve(a) in sizes for a in c.arg_types)
-        and 1 + sum(sizes[sch.resolve(a)] for a in c.arg_types) <= budget
+        for c in sch.types[ty]
+        if all(a in sizes for a in c.arg_types)
+        and 1 + sum(sizes[a] for a in c.arg_types) <= budget
     ]
     if not fitting:
         return default_value(sch, ty)
     ctor = rng.choice(fitting)
-    args = [sch.resolve(a) for a in ctor.arg_types]
-    slack = budget - 1 - sum(sizes[a] for a in args)
+    slack = budget - 1 - sum(sizes[a] for a in ctor.arg_types)
     children = []
-    for a in args:
+    for a in ctor.arg_types:
         extra = rng.randint(0, slack)
         slack -= extra
         children.append(_gen(sch, a, sizes[a] + extra, rng, sizes))
@@ -91,20 +91,21 @@ def _list_elements(sch: Schema) -> dict[str, str]:
     for ty, ctors in sch.types.items():
         cell = sch.list_cell(ty)
         if cell is not None and any(not c.arg_types for c in ctors):
-            out[ty] = sch.resolve(cell.arg_types[0])
+            out[ty] = cell.arg_types[0]
     return out
 
 
 def _typed_positions(sch: Schema, ty: str, view: Tree) -> list[tuple[Path, str]]:
     """Every (path, type) of the well-typed ``view``, sorted by path."""
     out = []
-    stack: list[tuple[Path, Tree, str]] = [((), view, sch.resolve(ty))]
+    stack: list[tuple[Path, Tree, str]] = [((), view, ty)]
     while stack:
         p, node, node_ty = stack.pop()
         out.append((p, node_ty))
         if isinstance(node, Node):
+            args = sch.constructor(node_ty, node.ctor).arg_types  # type: ignore[union-attr]
             for i, c in enumerate(node.children):
-                stack.append((p + (i,), c, type_at(sch, node_ty, node, (i,))))
+                stack.append((p + (i,), c, args[i]))
     return sorted(out)
 
 
@@ -113,6 +114,7 @@ def gen_script(
 ) -> list[EditOp]:
     """Random type-correct edit script; paths are drawn from the evolving view."""
     rng = random.Random(seed)
+    view_type = sch.resolve(view_type)
     ctx = EditContext(sch, view_type)
     lists = _list_elements(sch)
     ops: list[EditOp] = []
@@ -170,7 +172,6 @@ def gen_script(
 
 def _gen_budget(sch: Schema, ty: str, rng: random.Random) -> Tree:
     sizes = sch.min_sizes()
-    ty = sch.resolve(ty)
     low = sizes.get(ty, 1)
     return _gen(sch, ty, low + rng.randint(0, 6), rng, sizes)
 

@@ -3,8 +3,10 @@
 A schema maps type names to ordered constructor lists over the two built-in
 primitive types ``Int`` and ``String``.  Generic declarations are
 monomorphized by the frontend before they reach a ``Schema``; here every type
-name is ground (e.g. ``List Person``).  Declared synonyms resolve to their
-target before any lookup.
+name is ground (e.g. ``List Person``) and canonical: constructor arguments
+never name a synonym.  So a synonym resolves once, where a caller names a
+type (the ``ty`` of ``check_tree_type``, ``type_at`` and ``default_value``,
+and ``Schema.constructors``/``list_cell``), and never inside a walk.
 
 One iterative walk, ``check_tree_type``, types every term.  Inputs (trees
 handed to get, put, check and typed edits) and rule patterns differ only in
@@ -73,18 +75,8 @@ class Schema:
     _sizes: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def resolve(self, name: str) -> str:
-        if name not in self.synonyms:
-            return name
-        seen = set()
-        while name in self.synonyms:
-            if name in seen:
-                raise UnknownType(f"cyclic type synonym {name}")
-            seen.add(name)
-            name = self.synonyms[name]
-        return name
-
-    def is_primitive(self, name: str) -> bool:
-        return self.resolve(name) in PRIMITIVES
+        """The canonical name of a type a caller names: a synonym's target, else itself."""
+        return self.synonyms.get(name, name)
 
     def constructors(self, name: str) -> tuple[Constructor, ...]:
         name = self.resolve(name)
@@ -95,7 +87,8 @@ class Schema:
         return self.types[name]
 
     def constructor(self, ty: str, ctor: str) -> Constructor | None:
-        for c in self.constructors(ty):
+        """Constructor ``ctor`` of the declared type ``ty``, a canonical name."""
+        for c in self.types.get(ty, ()):
             if c.name == ctor:
                 return c
         return None
@@ -111,7 +104,7 @@ class Schema:
         """The list-cell constructor of ``name``: two arguments, the second of type ``name``."""
         name = self.resolve(name)
         for c in self.constructors(name):
-            if len(c.arg_types) == 2 and self.resolve(c.arg_types[1]) == name:
+            if len(c.arg_types) == 2 and c.arg_types[1] == name:
                 return c
         return None
 
@@ -126,7 +119,7 @@ class Schema:
             for name, ctors in self.types.items():
                 best = sizes.get(name)
                 for c in ctors:
-                    args = [sizes.get(self.resolve(a)) for a in c.arg_types]
+                    args = [sizes.get(a) for a in c.arg_types]
                     if any(a is None for a in args):
                         continue
                     cand = 1 + sum(args)  # type: ignore[arg-type]
@@ -202,7 +195,7 @@ def check_tree_type(
                 _path(at), expected, f"{u.ctor} applied to {len(u.children)} argument(s)"
             )
         for i in range(len(u.children) - 1, -1, -1):
-            stack.append((sch.resolve(ctor.arg_types[i]), u.children[i], (at, i)))
+            stack.append((ctor.arg_types[i], u.children[i], (at, i)))
 
 
 def type_at(sch: Schema, ty: str, t: Tree, p: Path) -> str:
@@ -216,32 +209,27 @@ def type_at(sch: Schema, ty: str, t: Tree, p: Path) -> str:
         if ctor is None or len(ctor.arg_types) != len(node.children):  # pragma: no cover
             # callers type-check ``t`` first
             raise IllTyped(p[:depth], ty, _found_name(sch, node))
-        ty = sch.resolve(ctor.arg_types[i])
+        ty = ctor.arg_types[i]
         node = node.children[i]
     return ty
 
 
 def default_value(sch: Schema, ty: str) -> Tree:
     """Minimum-size well-typed tree of ``ty``; ties go to declaration order."""
-    name = sch.resolve(ty)
+    return _build_default(sch, sch.resolve(ty))
+
+
+def _build_default(sch: Schema, name: str) -> Tree:
     if name == INT:
         return IntLeaf(0)
     if name == STRING:
         return StrLeaf("")
-    sizes = sch.min_sizes()
-    return _build_default(sch, name, sizes)
-
-
-def _build_default(sch: Schema, name: str, sizes: dict[str, int]) -> Tree:
-    if name == INT:
-        return IntLeaf(0)
-    if name == STRING:
-        return StrLeaf("")
+    sizes = sch.min_sizes()  # after the primitives, which need no fixed point
     if name not in sizes:
         raise NoFiniteDefault(name)
     best: Constructor | None = None
-    for c in sch.constructors(name):
-        args = [sizes.get(sch.resolve(a)) for a in c.arg_types]
+    for c in sch.types[name]:
+        args = [sizes.get(a) for a in c.arg_types]
         if any(a is None for a in args):
             continue
         if best is None and 1 + sum(args) == sizes[name]:  # type: ignore[arg-type]
@@ -250,6 +238,6 @@ def _build_default(sch: Schema, name: str, sizes: dict[str, int]) -> Tree:
         raise NoFiniteDefault(name)
     return Node(
         best.name,
-        tuple(_build_default(sch, sch.resolve(a), sizes) for a in best.arg_types),
+        tuple(_build_default(sch, a) for a in best.arg_types),
     )
 

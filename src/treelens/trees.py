@@ -107,8 +107,6 @@ class Link:
 
 LinkSet = frozenset  # frozenset[Link]
 
-EMPTY_LINKS: LinkSet = frozenset()
-
 
 def sel(t: Tree, p: Path) -> Tree:
     """Subtree of ``t`` at path ``p``; the empty path addresses the root."""

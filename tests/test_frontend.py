@@ -40,6 +40,34 @@ def test_syntax_error_carries_position():
     assert e.value.col > 0
 
 
+_TYPES_PROGRAM = "data V = V0\n{}\ndata T = T0\n\n{}\n  T0 ~ V0\n"
+
+
+@pytest.mark.parametrize(
+    "decl,header,line",
+    [
+        ("data L (a) = C", "T <---> V", 2),
+        ("data (L a) = C", "T <---> V", 2),
+        ("data L A = C", "T <---> V", 2),
+        ("data W = (C D)", "T <---> V", 2),
+        ("data W = a", "T <---> V", 2),
+        ("data W = C _", "T <---> V", 2),
+        ("data W = C 3", "T <---> V", 2),
+        ("data W = C | | D", "T <---> V", 2),
+        ("type N a = String", "T <---> V", 2),
+        ("data W = W0", "T a <---> V", 5),
+        ("type A = String\n| type B = String", "T <---> V", 3),
+        ("data W = C (List\n  | D", "T <---> V", 3),
+    ],
+)
+def test_type_expressions_keep_their_grammar(decl, header, line):
+    # A type is read as a term of constructors and parentheses, with
+    # parameters only in a data alternative; an error names its token's line.
+    with pytest.raises(LensSyntaxError) as e:
+        parse_program(_TYPES_PROGRAM.format(decl, header))
+    assert e.value.line == line
+
+
 def test_parse_mirror():
     p = parse_program(example_text("mirror.lens"))
     assert len(p.relations) == 1
@@ -59,7 +87,7 @@ Expr <---> V
   Lit i ~ MkV i
 """
     p = parse_program(text)
-    assert [c[0] for c in p.decls[0].ctors] == ["Plus", "Lit"]
+    assert [c.ctor for c in p.decls[0].ctors] == ["Plus", "Lit"]
 
 
 def test_comments_and_blank_lines():

@@ -187,7 +187,7 @@ def test_plans_with_a_literal_and_a_nested_constructor():
     # so its defaults must come in preorder; `_` is a wildcard at the root.
     prog = parse_program(_LITERAL_NESTED)
     (raw_rel,) = prog.relations
-    rel = Relation("T", "V", raw_rel.source_expr, raw_rel.view_expr, raw_rel.line)
+    rel = Relation("T", "V", raw_rel.line)
     rules = [
         _compile_rule(prog.schema, raw_rel, raw, i, {("T", "V"): rel}, [])
         for i, raw in enumerate(raw_rel.rules)

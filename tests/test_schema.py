@@ -13,8 +13,10 @@ from treelens import (
     parse_pattern,
     parse_tree,
 )
-from treelens.schema import IllTyped, NoFiniteDefault, type_at
-from treelens.frontend import load_program
+from conftest import EXAMPLES, example_text
+from treelens import EditContext, EditState, Replace, apply_script, gen_tree, lens
+from treelens.schema import PRIMITIVES, IllTyped, NoFiniteDefault, type_at
+from treelens.frontend import load_program, normalize_type_name
 
 
 def test_check_tree_type_accepts(arith):
@@ -152,6 +154,66 @@ def test_generic_instances(addrbook):
     assert sch.resolve("Name") == "String"
     cons = sch.constructor("List Person", "Cons")
     assert cons is not None and cons.arg_types == ("Person", "List Person")
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in EXAMPLES.glob("*.lens")))
+def test_schemas_name_types_only_canonically(name):
+    # Synonyms resolve where a caller names a type, and nowhere inside a
+    # schema walk: every type a validated program mentions is a declared
+    # instance or a primitive, never a synonym (those are not keys of types).
+    vp = load_program(example_text(name), name)
+    sch = vp.schema
+    named = set(sch.types) | set(PRIMITIVES)
+    used = {a for ctors in sch.types.values() for c in ctors for a in c.arg_types}
+    used |= {ty for r in vp.relations for ty in (r.source_type, r.view_type)}
+    used |= {
+        ty
+        for r in vp.relations
+        for rule in r.rules
+        for x in rule.variables
+        for ty in (x.source_type, x.view_type)
+    }
+    used |= set(sch.synonyms.values())
+    assert used <= named
+    for ty in named:
+        assert normalize_type_name(vp, ty) == ty
+
+
+def _outcome(f, *args):
+    try:
+        return ("ok", f(*args))
+    except Exception as e:  # every outcome is compared, errors included
+        return (type(e).__name__, str(e))
+
+
+@pytest.mark.parametrize("syn", ["Name", "Email", "Tel"])
+def test_synonyms_at_the_entry_points(addrbook, syn):
+    sch = addrbook.schema
+    view = StrLeaf("v")
+
+    def results(ty):
+        return [
+            _outcome(check_tree_type, sch, ty, view),
+            _outcome(check_tree_type, sch, ty, IntLeaf(1)),
+            _outcome(type_at, sch, ty, view, ()),
+            _outcome(default_value, sch, ty),
+            _outcome(gen_tree, sch, ty, 5, 3),
+            _outcome(sch.constructors, ty),
+            *(
+                _outcome(apply_script, EditState(view, frozenset()), [Replace((), t)], EditContext(sch, ty))
+                for t in (StrLeaf("w"), IntLeaf(1))
+            ),
+        ]
+
+    assert results(syn) == results("String")
+
+
+def test_synonyms_name_a_lens(addrbook):
+    named = lens(addrbook, "Triple Name Email Tel", "Name")
+    canonical = lens(addrbook, "Triple String String String", "String")
+    assert (named.source_type, named.view_type) == (canonical.source_type, canonical.view_type)
+    s = parse_tree('Triple "n" "e" "t"')
+    assert named.get(s) == canonical.get(s)
 
 
 def test_min_sizes(arith):

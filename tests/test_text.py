@@ -24,7 +24,7 @@ from treelens import (
     render_pattern,
 )
 from treelens.edits import parse_script
-from treelens.frontend import parse_program
+from treelens.frontend import parse_program, render_program
 from treelens.text import LensSyntaxError, _decode_path, read_tree_file, tokenize, write_tree_file
 
 
@@ -325,23 +325,36 @@ def _with_recursive_reader(module, f, *args):
         return _outcome(f, *args)
 
 
-def _rules(program):
-    return [(r.source, r.view, r.line) for rel in program.relations for r in rel.rules]
+def _read(text):
+    """A program's text as printed back, and its rules, from one parse."""
+    program = parse_program(text)
+    rules = [(r.source, r.view, r.line) for rel in program.relations for r in rel.rules]
+    return render_program(program), rules
 
 
-@pytest.mark.parametrize("name", ["arith.lens", "sugarlang.lens", "mirror.lens", "compose_chain.lens"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "arith.lens",
+        "sugarlang.lens",
+        "mirror.lens",
+        "compose_chain.lens",
+        "addrbook.lens",
+        "natbool.lens",
+        "rosetree.lens",
+    ],
+)
 def test_rule_patterns_parse_as_the_recursive_reader_does(name):
+    # Type expressions are terms too, so every line is mutated: declarations,
+    # synonyms and relation headers as well as rules.
     from treelens import frontend
 
     text = example_text(name)
     lines = text.splitlines(keepends=True)
-    rule_lines = [i for i, line in enumerate(lines) if "~" in line]
-    for k, i in enumerate(rule_lines):
-        for mutant in _mutants(lines[i], 80, k):
+    for i in [i for i, line in enumerate(lines) if line.strip()]:
+        for mutant in _mutants(lines[i], 80, i):
             program = "".join(lines[:i] + [mutant] + lines[i + 1 :])
-            new = _outcome(lambda t: _rules(parse_program(t)), program)
-            old = _with_recursive_reader(frontend, lambda t: _rules(parse_program(t)), program)
-            assert new == old, mutant
+            assert _outcome(_read, program) == _with_recursive_reader(frontend, _read, program), mutant
 
 
 @pytest.mark.parametrize("name", ["addrbook_update.edits", "arith_swap.edits"])
