@@ -1,6 +1,9 @@
 """Command-line front door.
 
-Subcommands: ``validate``, ``get``, ``put``, ``edit``, ``laws``, ``compose``.
+Subcommands: ``validate``, ``get``, ``put``, ``edit``, ``laws``.  On the last
+four, ``-r S V`` names a relation, and a chain of ``-r``s names the composite
+of its relations, folded left: ``-r A B -r B C -r C D`` runs
+``CompositeLens(CompositeLens(A<--->B, B<--->C), C<--->D)``.
 Exit codes: 0 success, 1 usage/parse error (and failed law runs, and inputs
 nested too deeply to process), 2 validation failure, 3 rejected links, 4 type
 error.  Diagnostics go to standard error as ``file:line:col: code: message``.
@@ -39,6 +42,9 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage(message)
 
 
+_CHAIN = dict(nargs=2, metavar=("S", "V"), action="append", help="repeat to compose a chain")
+
+
 @functools.cache  # one parser per process; parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     top = _Parser(prog="treelens", description=__doc__)
@@ -49,14 +55,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("get", help="compute the view and links of a source")
     p.add_argument("-p", "--program", required=True)
-    p.add_argument("-r", "--relation", nargs=2, metavar=("S", "V"), required=True)
+    p.add_argument("-r", "--relation", required=True, **_CHAIN)
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output")
     p.add_argument("-l", "--links")
 
     p = sub.add_parser("put", help="write a view back into a source")
     p.add_argument("-p", "--program", required=True)
-    p.add_argument("-r", "--relation", nargs=2, metavar=("S", "V"), required=True)
+    p.add_argument("-r", "--relation", required=True, **_CHAIN)
     p.add_argument("-s", "--source", required=True)
     p.add_argument("-v", "--view", required=True)
     p.add_argument("-l", "--links")
@@ -69,35 +75,17 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output")
     p.add_argument("-m", "--links-out")
     p.add_argument("-p", "--program")
-    p.add_argument("-r", "--relation", nargs=2, metavar=("S", "V"))
+    p.add_argument("-r", "--relation", **_CHAIN)
 
     p = sub.add_parser("laws", help="run the randomized law suite")
     p.add_argument("-p", "--program", required=True)
-    p.add_argument("-r", "--relation", nargs=2, metavar=("S", "V"), required=True)
+    p.add_argument("-r", "--relation", required=True, **_CHAIN)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--size", type=int, default=40)
     p.add_argument("--script-len", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--summary")
 
-    p = sub.add_parser("compose", help="pipe two relations of one program")
-    p.add_argument("-p", "--program", required=True)
-    p.add_argument("--r1", nargs=2, metavar=("A", "B"), required=True)
-    p.add_argument("--r2", nargs=2, metavar=("B", "C"), required=True)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--get", action="store_true")
-    mode.add_argument("--put", action="store_true")
-    mode.add_argument("--laws", action="store_true")
-    p.add_argument("-i", "--input")
-    p.add_argument("-s", "--source")
-    p.add_argument("-v", "--view")
-    p.add_argument("-l", "--links")
-    p.add_argument("-o", "--output")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--size", type=int, default=40)
-    p.add_argument("--script-len", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(summary=None)  # --laws runs the laws command, which has --summary
     return top
 
 
@@ -127,16 +115,9 @@ def _cmd_validate(args) -> int:
 
 
 def _lens(args):
-    """The lens a command runs: ``-r``'s relation, or ``--r1`` then ``--r2`` for a complete compose."""
+    """The lens a command runs: the composite of its ``-r`` chain, folded left."""
     vp = _load(args.program)
-    if args.command != "compose":
-        return lens(vp, *args.relation)
-    cl = CompositeLens(lens(vp, *args.r1), lens(vp, *args.r2))
-    if args.get and not args.input:
-        raise _Usage("--get needs -i")
-    if args.put and not (args.source and args.view):
-        raise _Usage("--put needs -s and -v")
-    return cl
+    return functools.reduce(CompositeLens, [lens(vp, *r) for r in args.relation])
 
 
 def _cmd_get(args) -> int:
@@ -184,17 +165,12 @@ def _cmd_laws(args) -> int:
     return 0 if summary.ok else 1
 
 
-def _cmd_compose(args) -> int:
-    return (_cmd_get if args.get else _cmd_put if args.put else _cmd_laws)(args)
-
-
 _COMMANDS = {
     "validate": _cmd_validate,
     "get": _cmd_get,
     "put": _cmd_put,
     "edit": _cmd_edit,
     "laws": _cmd_laws,
-    "compose": _cmd_compose,
 }
 
 
@@ -215,8 +191,11 @@ def run(argv: list[str]) -> int:
     except ValidationError as e:
         print(str(e), file=sys.stderr)
         return 2
-    except (UnknownRelation, CompositionTypeError) as e:
+    except UnknownRelation as e:
         print(f"unknown relation: {e}", file=sys.stderr)
+        return 2
+    except CompositionTypeError as e:
+        print(f"relations do not chain: {e}", file=sys.stderr)
         return 2
     except InvalidLinks as e:
         print(f"links rejected: {e}", file=sys.stderr)

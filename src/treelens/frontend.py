@@ -119,8 +119,8 @@ _ALTERNATIVE_TOKENS = _TYPE_TOKENS | {"LIDENT"}
 def _parse_type(cur: TokenCursor, params: bool) -> Node:
     """Read one type expression, a term, up to the first token that ends it.
 
-    The term's own errors at its end are reported at the line of that token,
-    which the caller reads next (``=``, ``|``, ``<--->`` or a stray token).
+    The term's own errors at its end name that token, at its own line and
+    column; the caller reads it next (``=``, ``|``, ``<--->`` or a stray token).
     """
     toks, end = cur.tokens, cur.pos
     kinds = _ALTERNATIVE_TOKENS if params else _TYPE_TOKENS
@@ -128,7 +128,7 @@ def _parse_type(cur: TokenCursor, params: bool) -> Node:
         end += 1
     if end == cur.pos:
         cur.expect("UIDENT")  # raises, naming the token that cannot start a type
-    sub = TokenCursor(toks[cur.pos : end], toks[end][2] if end < len(toks) else cur.line)
+    sub = TokenCursor(toks, cur.line, cur.pos, end)
     t = parse_term(sub, allow_vars=True)
     sub.require_end()
     cur.pos = end
@@ -141,6 +141,7 @@ class _SchemaBuilder:
     def __init__(self) -> None:
         self.datas: dict[str, DataDecl] = {}
         self.syns: dict[str, Node] = {}
+        self.names: dict[Node, str] = {}  # an applied instance's schema name
         self.schema = Schema()
 
     def declare(self, decl: SynDecl | DataDecl) -> None:
@@ -181,8 +182,17 @@ class _SchemaBuilder:
         self._instantiate(ce, decl, line, depth)
         return ce
 
+    def name(self, ce: Node) -> str:
+        """The schema's name of a canonical type, rendered once per instance."""
+        if not ce.children:
+            return ce.ctor
+        name = self.names.get(ce)
+        if name is None:
+            name = self.names[ce] = render_pattern(ce)
+        return name
+
     def _instantiate(self, ce: Node, decl: DataDecl, line: int, depth: int) -> None:
-        name = render_pattern(ce)
+        name = self.name(ce)
         if name in self.schema.types:
             return
         self.schema.types[name] = ()  # placeholder breaks instantiation cycles
@@ -190,7 +200,7 @@ class _SchemaBuilder:
         ctors = tuple(
             Constructor(
                 alt.ctor,
-                tuple(render_pattern(self.canonical(a, env, line, depth + 1)) for a in alt.children),
+                tuple(self.name(self.canonical(a, env, line, depth + 1)) for a in alt.children),
             )
             for alt in decl.ctors
         )
@@ -204,7 +214,7 @@ class _SchemaBuilder:
         for decl in decls:
             if isinstance(decl, SynDecl):
                 target = self.canonical(decl.target, {}, decl.line)
-                self.schema.synonyms[decl.name] = render_pattern(target)
+                self.schema.synonyms[decl.name] = self.name(target)
 
 
 def _logical_lines(text: str) -> list[tuple[int, list[Token]]]:
@@ -297,8 +307,8 @@ def parse_program(text: str, source_name: str = "<program>") -> Program:
             RawRelation(
                 source_expr,
                 view_expr,
-                render_pattern(sce),
-                render_pattern(vce),
+                builder.name(sce),
+                builder.name(vce),
                 rules,
                 lineno,
             )

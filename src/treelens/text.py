@@ -178,15 +178,20 @@ def escape_string(s: str) -> str:
 
 
 class TokenCursor:
-    """Sequential reader over a list of tokens (``Token``s or tuples of its shape)."""
+    """Sequential reader over a list of tokens (``Token``s or tuples of its shape).
 
-    def __init__(self, tokens: list, line: int = 0):
+    It reads ``tokens[pos:end]``; an error at ``end`` names the token there,
+    the one that ended the reading, or ``''`` at the end of the list.
+    """
+
+    def __init__(self, tokens: list, line: int = 0, pos: int = 0, end: int | None = None):
         self.tokens = tokens
-        self.pos = 0
+        self.pos = pos
         self.line = line
+        self.end = len(tokens) if end is None else end
 
     def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos] if self.pos < self.end else None
 
     def next(self) -> Token:
         tok = self.peek()
@@ -197,10 +202,11 @@ class TokenCursor:
 
     def expect(self, kind: str) -> Token:
         pos = self.pos
-        if pos < len(self.tokens) and self.tokens[pos][0] == kind:
+        if pos < self.end and self.tokens[pos][0] == kind:
             self.pos = pos + 1
             return self.tokens[pos]
-        _, text, line, col, _ = self.peek() or ("EOF", "", self.line, 0, None)
+        stop = self.tokens[pos] if pos < len(self.tokens) else ("EOF", "", self.line, 0, None)
+        _, text, line, col, _ = stop
         raise LensSyntaxError(f"expected {kind}, found {text!r}", line, col)
 
     def require_end(self) -> None:
@@ -221,12 +227,15 @@ def parse_term(cur: TokenCursor, allow_vars: bool) -> Pattern:
     line.  ``stack`` holds the open applications, as ``(ctor, args)``, and
     the open parentheses, as ``None``.
     """
-    toks, pos, end = cur.tokens, cur.pos, len(cur.tokens)
+    toks, pos, end = cur.tokens, cur.pos, cur.end
     stack: list = []
     top = True  # at the start of a whole term, where an application may begin
     while True:
         if pos == end:
-            raise LensSyntaxError("expected a term", cur.line, 0)
+            if end == len(toks):
+                raise LensSyntaxError("expected a term", cur.line, 0)
+            _, text, line, col, _ = toks[end]  # the token that ended the cursor
+            raise LensSyntaxError(f"unexpected token {text!r}", line, col)
         kind, text, line, col, _ = toks[pos]
         pos += 1
         if kind == "LPAR":

@@ -80,13 +80,20 @@ def tokenize(text: str, line: int = 1) -> list[Token]:
 
 
 class TokenCursor:
-    def __init__(self, tokens: list[Token], line: int = 0):
+    """Reads ``tokens[pos:end]``, as ``treelens.text.TokenCursor`` does; an
+    error at ``end`` names the token there, or ``''`` at the end of the list."""
+
+    def __init__(self, tokens: list[Token], line: int = 0, pos: int = 0, end: int | None = None):
         self.tokens = tokens
-        self.pos = 0
+        self.pos = pos
         self.line = line
+        self.end = len(tokens) if end is None else end
 
     def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos] if self.pos < self.end else None
+
+    def stop(self) -> Token:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else Token("EOF", "", self.line, 0)
 
     def next(self) -> Token:
         tok = self.peek()
@@ -98,7 +105,7 @@ class TokenCursor:
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok is None or tok.kind != kind:
-            where = tok or Token("EOF", "", self.line, 0)
+            where = tok or self.stop()
             raise LensSyntaxError(
                 f"expected {kind}, found {where.text!r}", where.line, where.col
             )
@@ -113,7 +120,10 @@ class TokenCursor:
 def parse_pattern_tokens(cur: TokenCursor, allow_vars: bool, top: bool = True):
     tok = cur.peek()
     if tok is None:
-        raise LensSyntaxError("expected a term", cur.line, 0)
+        if cur.pos == len(cur.tokens):
+            raise LensSyntaxError("expected a term", cur.line, 0)
+        tok = cur.stop()  # the token that ended a bounded cursor starts no term
+        raise LensSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
     if tok.kind == "UIDENT" and top:
         cur.next()
         args = []
@@ -168,8 +178,7 @@ def parse_path_tokens(cur) -> tuple:
 
 def parse_term(cur, allow_vars: bool):
     """``parse_pattern_tokens`` on any cursor's tokens, for patching into a module."""
-    mine = TokenCursor(cur.tokens, cur.line)
-    mine.pos = cur.pos
+    mine = TokenCursor(cur.tokens, cur.line, cur.pos, cur.end)
     try:
         return parse_pattern_tokens(mine, allow_vars)
     finally:

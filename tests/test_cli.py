@@ -6,7 +6,9 @@ import sys
 import pytest
 
 from conftest import EXAMPLES, example_text
-from treelens.cli import run
+from treelens import CompositeLens, lens, load_program, parse_tree, verify_laws
+from treelens.cli import _build_parser, _lens, run
+from treelens.text import render_links, write_tree_file
 
 SRC = EXAMPLES.parent / "src"
 
@@ -183,17 +185,12 @@ def test_compose_get_put(tmp_path):
     src = tmp_path / "src.tree"
     src.write_text('Neg "a" (Lit "b" 7)\n')
     out, links = tmp_path / "c.tree", tmp_path / "c.links"
-    assert run([
-        "compose", "-p", str(prog), "--r1", "Term", "Arith", "--r2", "Arith", "NArith",
-        "--get", "-i", str(src), "-o", str(out), "-l", str(links),
-    ]) == 0
+    chain = ["-p", str(prog), "-r", "Term", "Arith", "-r", "Arith", "NArith"]
+    assert run(["get", *chain, "-i", str(src), "-o", str(out), "-l", str(links)]) == 0
     assert out.read_text() == "NSub NZ NZ\n"
     assert links.read_text() == ""  # the mismatch example: empty composition
     back = tmp_path / "back.tree"
-    assert run([
-        "compose", "-p", str(prog), "--r1", "Term", "Arith", "--r2", "Arith", "NArith",
-        "--put", "-s", str(src), "-v", str(out), "-l", str(links), "-o", str(back),
-    ]) == 0
+    assert run(["put", *chain, "-s", str(src), "-v", str(out), "-l", str(links), "-o", str(back)]) == 0
     assert back.read_text().endswith("\n")
 
 
@@ -201,8 +198,8 @@ def test_compose_laws(tmp_path, capsys):
     prog = tmp_path / "mirror.lens"
     prog.write_text(example_text("mirror.lens"))
     code = run([
-        "compose", "-p", str(prog), "--r1", "BinT Int", "BinT Int",
-        "--r2", "BinT Int", "BinT Int", "--laws", "--trials", "40", "--seed", "6",
+        "laws", "-p", str(prog), "-r", "BinT Int", "BinT Int",
+        "-r", "BinT Int", "BinT Int", "--trials", "40", "--seed", "6",
     ])
     assert code == 0
     assert "hippocratic: 40/40 ok" in capsys.readouterr().out
@@ -211,19 +208,97 @@ def test_compose_laws(tmp_path, capsys):
 def test_compose_reports_like_get_and_put(tmp_path, capsys):
     prog = tmp_path / "mirror.lens"
     prog.write_text(example_text("mirror.lens"))
-    base = ["compose", "-p", str(prog), "--r1", "BinT Int", "BinT Int", "--r2", "BinT Int", "BinT Int"]
-    assert run(base + ["--get"]) == 1
-    assert capsys.readouterr().err == "usage error: --get needs -i\n"
+    chain = ["-p", str(prog), "-r", "BinT Int", "BinT Int", "-r", "BinT Int", "BinT Int"]
+    assert run(["get", *chain]) == 1
+    assert capsys.readouterr().err == "usage error: the following arguments are required: -i/--input\n"
     five = tmp_path / "five.tree"
     five.write_text("5\n")
-    assert run(base + ["--put", "-s", str(five)]) == 1
-    assert capsys.readouterr().err == "usage error: --put needs -s and -v\n"
+    assert run(["put", *chain, "-s", str(five)]) == 1
+    assert capsys.readouterr().err == "usage error: the following arguments are required: -v/--view\n"
     tip = tmp_path / "tip.tree"
     tip.write_text("Tip\n")
-    assert run(base + ["--put", "-s", str(five), "-v", str(tip)]) == 4
+    assert run(["put", *chain, "-s", str(five), "-v", str(tip)]) == 4
     assert capsys.readouterr().err == "type error: source: at []: expected BinT Int, found Int\n"
-    assert run(base + ["--get", "-i", str(five)]) == 4
+    assert run(["get", *chain, "-i", str(five)]) == 4
     assert capsys.readouterr().err == "type error: source: at []: expected BinT Int, found Int\n"
+
+
+def test_compose_subcommand_is_gone(capsys):
+    assert run(["compose", "-p", str(EXAMPLES / "mirror.lens")]) == 1
+    assert "invalid choice: 'compose'" in capsys.readouterr().err
+
+
+def test_chain_folds_left_and_matches_the_library(tmp_path, capsys):
+    prog = str(EXAMPLES / "mirror.lens")
+    m = ["-r", "BinT Int", "BinT Int"]
+    chain = ["-p", prog, *m, *m, *m]
+    h = _lens(_build_parser().parse_args(["laws", *chain]))
+    assert isinstance(h.first, CompositeLens) and not isinstance(h.second, CompositeLens)
+    assert not isinstance(h.first.first, CompositeLens)
+    one = lens(load_program(EXAMPLES.joinpath("mirror.lens").read_text()), "BinT Int", "BinT Int")
+    lib = CompositeLens(CompositeLens(one, one), one)
+
+    src = tmp_path / "s.tree"
+    src.write_text("Node 1 (Node 2 Tip Tip) (Node 3 Tip (Node 4 Tip Tip))\n")
+    s = parse_tree(src.read_text())
+    view, links = tmp_path / "v.tree", tmp_path / "l.links"
+    assert run(["get", *chain, "-i", str(src), "-o", str(view), "-l", str(links)]) == 0
+    v, ls = lib.get(s)
+    assert view.read_text() == write_tree_file(v)
+    assert links.read_text() == render_links(ls)
+
+    v2 = parse_tree("Node 7 Tip (Node 4 Tip Tip)")
+    view.write_text(write_tree_file(v2))
+    kept = frozenset(l for l in ls if l.view.path == ())
+    links.write_text(render_links(kept))
+    out = tmp_path / "o.tree"
+    assert run(["put", *chain, "-s", str(src), "-v", str(view), "-l", str(links), "-o", str(out)]) == 0
+    assert out.read_text() == write_tree_file(lib.put(s, v2, kept))
+
+    capsys.readouterr()
+    assert run(["laws", *chain, "--trials", "30", "--seed", "2"]) == 0
+    assert capsys.readouterr().out == verify_laws(lib, 30, seed=2).to_text()
+
+
+def test_chain_laws_summary(tmp_path, capsys):
+    summary = tmp_path / "summary.json"
+    chain = ["-p", str(EXAMPLES / "compose_chain.lens"), "-r", "Expr", "Arith", "-r", "Arith", "NArith"]
+    code = run([
+        "laws", *chain, "--trials", "20", "--size", "25", "--script-len", "3", "--seed", "4",
+        "--summary", str(summary),
+    ])
+    capsys.readouterr()
+    vp = load_program(example_text("compose_chain.lens"))
+    expected = verify_laws(
+        CompositeLens(lens(vp, "Expr", "Arith"), lens(vp, "Arith", "NArith")),
+        20, size_bound=25, script_len=3, seed=4,
+    )
+    assert code == (0 if expected.ok else 1)
+    assert summary.read_text() == expected.to_json()
+
+
+def test_typed_edit_on_a_chain_types_against_the_last_view(tmp_path, capsys):
+    chain = ["-p", str(EXAMPLES / "compose_chain.lens"), "-r", "Expr", "Arith", "-r", "Arith", "NArith"]
+    view, links = tmp_path / "v.tree", tmp_path / "l.links"
+    assert run(["get", *chain, "-i", str(EXAMPLES / "arith_cst.tree"), "-o", str(view), "-l", str(links)]) == 0
+    script, out = tmp_path / "s.edits", tmp_path / "o.tree"
+    base = ["edit", "-v", str(view), "-l", str(links), "-e", str(script), "-o", str(out), "-m", str(tmp_path / "m")]
+    script.write_text("replace [1] (Num 3)\n")  # an Arith, the middle type, not an NArith
+    assert run(base) == 0  # untyped, the edit goes through
+    assert run(base + chain) == 4
+    assert capsys.readouterr().err.startswith("type error: ")
+    script.write_text("replace [1] (NZ)\n")
+    assert run(base + chain) == 0
+    assert out.read_text() == "NSub (NSub NZ NZ) NZ\n"
+
+
+def test_relations_that_do_not_chain(capsys):
+    chain = ["-p", str(EXAMPLES / "compose_chain.lens"), "-r", "Term", "Arith", "-r", "Expr", "Arith"]
+    assert run(["get", *chain, "-i", str(EXAMPLES / "arith_cst.tree")]) == 2
+    assert capsys.readouterr().err == (
+        "relations do not chain: view type Arith of the first lens differs "
+        "from source type Expr of the second\n"
+    )
 
 
 def test_edit_untyped_mode(tmp_path):

@@ -68,6 +68,23 @@ def test_type_expressions_keep_their_grammar(decl, header, line):
     assert e.value.line == line
 
 
+@pytest.mark.parametrize(
+    "program,message",
+    [
+        (_TYPES_PROGRAM.format("type A = (List 3", "T <---> V"), "2:16: expected RPAR, found '3'"),
+        ("data Person = P\n(erson <---> Person\n  P ~ P\n", "2:2: unexpected token 'erson'"),
+        (_TYPES_PROGRAM.format("data W = C (List\n  | D", "T <---> V"), "3:3: expected RPAR, found '|'"),
+        (_TYPES_PROGRAM.format("type A = (List", "T <---> V"), "2:0: expected RPAR, found ''"),
+        (_TYPES_PROGRAM.format("type A = (", "T <---> V"), "2:0: expected a term"),
+    ],
+    ids=["int-in-parens", "header-parameter", "pipe-in-parens", "end-of-line", "empty-parens"],
+)
+def test_type_errors_name_the_token_that_ended_the_type(program, message):
+    with pytest.raises(LensSyntaxError) as e:
+        parse_program(program)
+    assert str(e.value) == message
+
+
 def test_parse_mirror():
     p = parse_program(example_text("mirror.lens"))
     assert len(p.relations) == 1
