@@ -37,6 +37,10 @@ class _Usage(Exception):
     pass
 
 
+class _FileError(Exception):
+    """A file that cannot be read or written; the message says why."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise _Usage(message)
@@ -90,14 +94,24 @@ def _build_parser() -> _Parser:
 
 
 def _read(path: str) -> str:
-    return FsPath(path).read_text(encoding="utf-8")
+    try:
+        return FsPath(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise _FileError(f"cannot read {FsPath(path)}") from None
+    except OSError as e:
+        raise _FileError(f"cannot read {FsPath(path)}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise _FileError(f"cannot read {FsPath(path)}: not UTF-8 text (byte {e.start})") from None
 
 
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         FsPath(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise _FileError(f"cannot write {FsPath(path)}: {e.strerror}") from None
 
 
 def _load(path: str):
@@ -117,7 +131,14 @@ def _cmd_validate(args) -> int:
 def _lens(args):
     """The lens a command runs: the composite of its ``-r`` chain, folded left."""
     vp = _load(args.program)
-    return functools.reduce(CompositeLens, [lens(vp, *r) for r in args.relation])
+    h, *rest = [lens(vp, *r) for r in args.relation]
+    for k, nxt in enumerate(rest, start=1):  # h has the view type of the k-th -r
+        if h.view_type != nxt.source_type:
+            (s1, v1), (s2, v2) = args.relation[k - 1 : k + 1]
+            raise CompositionTypeError(f"view type {h.view_type} of -r {k} ({s1} <---> {v1}) differs "
+                                       f"from source type {nxt.source_type} of -r {k + 1} ({s2} <---> {v2})")
+        h = CompositeLens(h, nxt)
+    return h
 
 
 def _cmd_get(args) -> int:
@@ -155,6 +176,11 @@ def _cmd_edit(args) -> int:
 
 
 def _cmd_laws(args) -> int:
+    for flag, least in (("trials", 1), ("size", 0), ("script_len", 0)):
+        if getattr(args, flag) < least:
+            raise _Usage(f"--{flag.replace('_', '-')} must be at least {least}")
+    if args.summary and not FsPath(args.summary).parent.is_dir():  # fail before the trials
+        raise _FileError(f"cannot write {FsPath(args.summary)}: No such file or directory")
     h = _lens(args)
     summary = verify_laws(
         h, args.trials, size_bound=args.size, script_len=args.script_len, seed=args.seed
@@ -185,8 +211,8 @@ def run(argv: list[str]) -> int:
     except LensSyntaxError as e:
         print(f"{e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
-        print(f"cannot read {e.filename}", file=sys.stderr)
+    except _FileError as e:
+        print(e, file=sys.stderr)
         return 1
     except ValidationError as e:
         print(str(e), file=sys.stderr)

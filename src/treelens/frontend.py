@@ -124,7 +124,7 @@ def _parse_type(cur: TokenCursor, params: bool) -> Node:
     """
     toks, end = cur.tokens, cur.pos
     kinds = _ALTERNATIVE_TOKENS if params else _TYPE_TOKENS
-    while end < len(toks) and toks[end][0] in kinds:
+    while end < len(toks) and toks[end].kind in kinds:
         end += 1
     if end == cur.pos:
         cur.expect("UIDENT")  # raises, naming the token that cannot start a type

@@ -11,20 +11,27 @@ One reader, ``parse_term``, reads every term: tree files, link regions, the
 rule patterns of a program and the trees of an edit script.  It keeps an
 explicit stack of open applications, so nesting depth is bounded by memory,
 not by the recursion limit; ``render_pattern`` is a loop for the same reason.
-The scanner folds leading whitespace into each token.  A well-formed path is
-one token, decoded through a cache of path bodies shared by one file: a body
-whose text up to its last comma was decoded before costs one ``int``.  The
-writer renders a path from its parent's text when that is at hand, and each
-distinct region pattern once.  So the Python work of a link file is per
-link, while the bytes stay O(depth) per link: the format is unchanged,
-because a file in it is self-describing line by line and the benchmark's
-independent parser reads it.
+
+Tokens.  One ``findall`` per line returns its token texts, in C, up to a
+``--`` token; a catch-all alternative makes any other non-blank character a
+token, so only blanks lie between texts.  A token's kind comes from its
+first character.  Tree and link files are read from bare texts, and a
+position is found only for an error, by ``tokenize`` reading the line again:
+it reports the line's first stray character ahead of any other error, and
+splits a path token that does not decode, so that the error points inside
+it.  Programs and scripts are read from ``tokenize``'s ``Token``s.
+
+A link file's path is decoded from its parent's, and a region pattern read
+once; the writer renders a path from its parent's text, and each distinct
+pattern once.  So the Python work of a link file is per link, while the bytes
+stay O(depth) per link: the format is unchanged, because a file in it is
+self-describing line by line and the benchmark's independent parser reads it.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+import string
 
 from .trees import (
     IntLeaf,
@@ -54,54 +61,58 @@ class LensSyntaxError(Exception):
         return f"{self.line}:{self.col}: {self.message}"
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-    value: Path | None = None  # the indices of a PATH token
-
-
-# Each match is one token after any leading whitespace.  The most frequent
-# tokens of link and tree files come first; of two alternatives that can
-# start alike, the longer one comes first (``--`` before INT, REL before
-# ARROW, PATH before LBRACK).
+# One token per match; ``findall`` skips the blanks between them.  Of two alternatives
+# that can start alike the longer comes first (``--`` before INT, PATH before ``\S``).
 _TOKEN_RE = re.compile(
     r"""
-    \s*(?:
-      (?P<LPAR>\()
-    | (?P<RPAR>\))
-    | (?P<UNDER>_)
-    | (?P<UIDENT>[A-Z][A-Za-z0-9']*)
-    | (?P<STR>"(?:\\.|[^"\\])*")
-    | (?P<PATH>\[[-\d,\s]*\])
-    | (?P<AT>@)
-    | (?P<COMMENT>--)
-    | (?P<REL><--->)
-    | (?P<ARROW><->)
-    | (?P<INT>-?\d+)
-    | (?P<LIDENT>[a-z][A-Za-z0-9']*)
-    | (?P<LBRACK>\[)
-    | (?P<RBRACK>\])
-    | (?P<COMMA>,)
-    | (?P<EQ>=)
-    | (?P<PIPE>\|)
-    | (?P<TILDE>~)
-    )
+      [()_@\],=|~]            # one-character tokens
+    | [A-Za-z][A-Za-z0-9']*   # UIDENT, LIDENT
+    | "(?:\\.|[^"\\])*"       # STR
+    | \[[0-9,]*\]            # PATH, which may still be malformed: its
+    | \[[-\d,\s]*\]          #   usual form first, as that is faster
+    | <--->
+    | <->
+    | --                      # a comment to the line's end
+    | -?\d+                   # INT
+    | \S                      # LBRACK, or a stray character
     """,
     re.VERBOSE,
 )
-_SPACE_RE = re.compile(r"\s*")
+_findall = _TOKEN_RE.findall
+_ESCAPE_RE = re.compile(r"\\(.?)", re.DOTALL)
+
+_FIXED = {
+    "(": "LPAR", ")": "RPAR", "_": "UNDER", "@": "AT", "[": "LBRACK", "]": "RBRACK",
+    ",": "COMMA", "=": "EQ", "|": "PIPE", "~": "TILDE", "<->": "ARROW", "<--->": "REL",
+}
+_FIRST = dict.fromkeys(string.ascii_uppercase, "UIDENT") | dict.fromkeys(string.ascii_lowercase, "LIDENT")
+_FIRST |= dict.fromkeys(string.digits + "-", "INT") | {'"': "STR", "[": "PATH"}
+
+
+def _texts(line: str) -> list[str]:
+    """The token texts of one line, up to a ``--`` comment."""
+    texts = _findall(line)
+    if "--" in texts:
+        del texts[texts.index("--") :]
+    return texts
+
+
+def _kind(text: str) -> str | None:
+    """The kind of a token text from ``_texts``; None for a stray character."""
+    kind = _FIXED.get(text) or _FIRST.get(text[0]) or ("INT" if text[0].isdecimal() else None)
+    return None if text in ('"', "-") else kind  # a lone '"' or '-' is stray
+
+
+class Token(str):
+    """A token's text, with its ``kind``, ``line``, ``col`` and a path's indices, ``value``."""
+
+    text = property(str.__str__)  # the text as a plain ``str``
 
 
 def _decode_path(body: str, paths: dict[str, Path]) -> Path | None:
-    """The indices of a path body, or None when it is not well formed.
-
-    Equals ``tuple(map(int, body.split(",")))`` (``()`` for a blank body).
-    ``paths`` caches the bodies decoded so far.  A body whose parent, the
-    text before its last comma, is cached as a non-empty path costs one
-    ``int``; an empty parent would let ``" ,5"`` through.
-    """
+    """``tuple(map(int, body.split(",")))`` (``()`` if blank), or None if that fails.  ``paths``
+    caches the bodies decoded so far: a body whose parent, the text before its last comma,
+    is cached as a non-empty path costs one ``int`` (an empty one would let ``" ,5"`` in)."""
     value = paths.get(body)
     if value is not None:
         return value
@@ -118,59 +129,41 @@ def _decode_path(body: str, paths: dict[str, Path]) -> Path | None:
     return value
 
 
-def _scan(text: str, line: int, paths: dict[str, Path]) -> list[tuple]:
-    """Tokens of one line as plain ``Token``-shaped tuples; ``--`` ends the line."""
-    out: list[tuple] = []
-    match = _TOKEN_RE.match
-    pos = 0
-    while True:
-        m = match(text, pos)
-        if m is None:
-            pos = _SPACE_RE.match(text, pos).end()
-            if pos == len(text):
-                return out
-            raise LensSyntaxError(f"unexpected character {text[pos]!r}", line, pos + 1)
-        kind = m.lastgroup
-        if kind == "COMMENT":
-            return out
-        start = m.start(kind)
-        pos = m.end()
-        tok = text[start:pos]
-        if kind == "PATH":
-            value = _decode_path(tok[1:-1], paths)
-            if value is None:
-                # Not a well-formed path: read it piece by piece, so that the
-                # parser's error points inside it.
-                out.append(("LBRACK", "[", line, start + 1, None))
-                pos = start + 1
-                continue
-            out.append((kind, tok, line, start + 1, value))
-        else:
-            out.append((kind, tok, line, start + 1, None))
-
-
 def tokenize(text: str, line: int = 1) -> list[Token]:
-    """Tokenize one logical line; comments and whitespace are dropped."""
-    return list(map(Token._make, _scan(text, line, {})))
+    """The tokens of one logical line; a stray character is an error.
+
+    Each text is found after the one before it.  A path token that does not
+    decode becomes an LBRACK, and the line is read on from just inside it.
+    """
+    out: list[Token] = []
+    paths: dict[str, Path] = {}
+    col, texts = 0, _texts(text)[::-1]  # texts are taken from the end
+    while texts:
+        t = texts.pop()
+        col = text.find(t, col)
+        kind = _kind(t)
+        if kind is None:
+            raise LensSyntaxError(f"unexpected character {t!r}", line, col + 1)
+        value = _decode_path(t[1:-1], paths) if kind == "PATH" else None
+        if kind == "PATH" and value is None:
+            t, kind, texts = "[", "LBRACK", _texts(text[col + 1 :])[::-1]
+        tok = str.__new__(Token, t)
+        tok.__dict__ = {"kind": kind, "line": line, "col": col + 1, "value": value}
+        out.append(tok)
+        col += len(t)
+    return out
 
 
 def unescape_string(raw: str, line: int = 0, col: int = 0) -> str:
+    """The text of a string token, whose only escapes are ``\\"`` and ``\\\\``."""
+
+    def unescape(m: re.Match) -> str:
+        if m[1] not in ('"', "\\"):
+            raise LensSyntaxError("only \\\" and \\\\ escapes are allowed", line, col)
+        return m[1]
+
     body = raw[1:-1]
-    if "\\" not in body:
-        return body
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\":
-            if i + 1 >= len(body) or body[i + 1] not in ('"', "\\"):
-                raise LensSyntaxError("only \\\" and \\\\ escapes are allowed", line, col)
-            out.append(body[i + 1])
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(unescape, body) if "\\" in body else body
 
 
 def escape_string(s: str) -> str:
@@ -178,45 +171,54 @@ def escape_string(s: str) -> str:
 
 
 class TokenCursor:
-    """Sequential reader over a list of tokens (``Token``s or tuples of its shape).
+    """Sequential reader over ``tokens[pos:end]``: ``Token``s, or the bare texts of ``raw``, which
+    become ``Token``s for an error or ``peek``.  The two agree up to the first path token that does
+    not decode, where any reader fails.  An error at ``end`` names the token there, or ``''``."""
 
-    It reads ``tokens[pos:end]``; an error at ``end`` names the token there,
-    the one that ended the reading, or ``''`` at the end of the list.
-    """
-
-    def __init__(self, tokens: list, line: int = 0, pos: int = 0, end: int | None = None):
-        self.tokens = tokens
-        self.pos = pos
-        self.line = line
+    def __init__(self, tokens: list, line=0, pos=0, end: int | None = None, raw: str | None = None):
+        self.tokens, self.pos, self.line, self.raw = tokens, pos, line, raw
         self.end = len(tokens) if end is None else end
 
+    def positioned(self) -> list[Token]:
+        if self.raw is not None:  # a stray character raises here
+            self.tokens, self.raw = tokenize(self.raw, self.line), None
+            self.end = len(self.tokens)
+        return self.tokens
+
+    def error(self, message: str, i: int | None = None) -> LensSyntaxError:
+        """``message`` at token ``i``, whose text replaces ``{!r}``; at the line if none."""
+        toks = self.positioned()
+        if i is not None and i < len(toks):
+            tok = toks[i]
+            return LensSyntaxError(message.format(tok.text), tok.line, tok.col)
+        return LensSyntaxError(message.format(""), self.line, 0)
+
     def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < self.end else None
+        return self.positioned()[self.pos] if self.pos < self.end else None
 
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            raise LensSyntaxError("unexpected end of input", self.line, 0)
+            raise self.error("unexpected end of input")
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str) -> str:
         pos = self.pos
-        if pos < self.end and self.tokens[pos][0] == kind:
-            self.pos = pos + 1
-            return self.tokens[pos]
-        stop = self.tokens[pos] if pos < len(self.tokens) else ("EOF", "", self.line, 0, None)
-        _, text, line, col, _ = stop
-        raise LensSyntaxError(f"expected {kind}, found {text!r}", line, col)
+        if pos < self.end:
+            tok = self.tokens[pos]
+            if (tok.kind if self.raw is None else _FIXED.get(tok) or _kind(tok)) == kind:
+                self.pos = pos + 1
+                return tok
+        raise self.error(f"expected {kind}, found {{!r}}", pos)
 
     def require_end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise LensSyntaxError(f"trailing input {tok[1]!r}", tok[2], tok[3])
+        if self.pos < self.end:
+            raise self.error("trailing input {!r}", self.pos)
 
 
-# Tokens that end an application's argument list.
-_ARGS_END = frozenset(("RPAR", "TILDE", "AT", "RBRACK", "ARROW"))
+# Token texts that end an application's argument list: ``) ~ @ ] <->``.
+_ARGS_END = frozenset((")", "~", "@", "]", "<->"))
 
 
 def parse_term(cur: TokenCursor, allow_vars: bool) -> Pattern:
@@ -225,7 +227,7 @@ def parse_term(cur: TokenCursor, allow_vars: bool) -> Pattern:
     A term is an application ``Ctor arg ..`` whose arguments are atoms or
     parenthesized terms; it ends before ``) ~ @ ] <->`` or the end of the
     line.  ``stack`` holds the open applications, as ``(ctor, args)``, and
-    the open parentheses, as ``None``.
+    the open parentheses, as ``None``.  A kind is read from a first character.
     """
     toks, pos, end = cur.tokens, cur.pos, cur.end
     stack: list = []
@@ -233,48 +235,53 @@ def parse_term(cur: TokenCursor, allow_vars: bool) -> Pattern:
     while True:
         if pos == end:
             if end == len(toks):
-                raise LensSyntaxError("expected a term", cur.line, 0)
-            _, text, line, col, _ = toks[end]  # the token that ended the cursor
-            raise LensSyntaxError(f"unexpected token {text!r}", line, col)
-        kind, text, line, col, _ = toks[pos]
-        pos += 1
-        if kind == "LPAR":
+                raise cur.error("expected a term")
+            raise cur.error("unexpected token {!r}", end)  # the token that ended the cursor
+        tok = toks[pos]
+        c = tok[0]
+        if c == "(":
+            pos += 1
             stack.append(None)
             top = True
             continue
-        if kind == "UIDENT":
+        if "A" <= c <= "Z":
             if top:
-                stack.append((text, []))
+                stack.append((str(tok), []))
                 value = None
             else:
-                value = Node(text)
-        elif kind == "INT":
-            value = IntLeaf(int(text))
-        elif kind == "STR":
-            value = StrLeaf(unescape_string(text, line, col))
-        elif kind == "UNDER":
+                value = Node(str(tok))
+        elif c == '"' and len(tok) > 1:
+            try:
+                value = StrLeaf(unescape_string(tok) if "\\" in tok else tok[1:-1])
+            except LensSyntaxError as e:
+                raise cur.error(e.message, pos) from None
+        elif c == "_":
             if not allow_vars:
-                raise LensSyntaxError("wildcard not allowed in a tree", line, col)
+                raise cur.error("wildcard not allowed in a tree", pos)
             value = WILDCARD
-        elif kind == "LIDENT":
+        elif "a" <= c <= "z":
             if not allow_vars:
-                raise LensSyntaxError("variable not allowed in a tree", line, col)
-            value = Var(text)
+                raise cur.error("variable not allowed in a tree", pos)
+            value = Var(str(tok))
+        elif c.isdecimal() or c == "-" and len(tok) > 1:
+            value = IntLeaf(int(tok))
         else:
-            raise LensSyntaxError(f"unexpected token {text!r}", line, col)
+            raise cur.error("unexpected token {!r}", pos)
+        pos += 1
         # Hand the finished term to the innermost open frame, closing frames
         # until one wants another argument or the whole term is done.
         while stack:
             frame = stack[-1]
             if frame is None:
-                cur.pos = pos
-                cur.expect("RPAR")
+                if pos == end or toks[pos] != ")":
+                    cur.pos = pos
+                    cur.expect("RPAR")  # raises
                 pos += 1
                 stack.pop()
                 continue
             if value is not None:
                 frame[1].append(value)
-            if pos < end and toks[pos][0] not in _ARGS_END:
+            if pos < end and toks[pos] not in _ARGS_END:
                 top = False
                 break
             stack.pop()
@@ -284,19 +291,20 @@ def parse_term(cur: TokenCursor, allow_vars: bool) -> Pattern:
             return value
 
 
-def _pattern_from_text(text: str, allow_vars: bool) -> Pattern:
-    cur = TokenCursor(_scan(text, 1, {}), 1)
-    p = parse_term(cur, allow_vars)
+def _read_all(text: str, read):
+    """``read`` of all of ``text``, as one line."""
+    cur = TokenCursor(_texts(text), 1, raw=text)
+    value = read(cur)
     cur.require_end()
-    return p
+    return value
 
 
 def parse_pattern(text: str) -> Pattern:
-    return _pattern_from_text(text, allow_vars=True)
+    return _read_all(text, lambda cur: parse_term(cur, allow_vars=True))
 
 
 def parse_tree(text: str) -> Tree:
-    return _pattern_from_text(text, allow_vars=False)
+    return _read_all(text, lambda cur: parse_term(cur, allow_vars=False))
 
 
 def render_pattern(p: Pattern) -> str:
@@ -335,26 +343,25 @@ def render_path(p: Path) -> str:
 
 def parse_path_tokens(cur: TokenCursor) -> Path:
     tok = cur.peek()
-    if tok is not None and tok[0] == "PATH":
+    if tok is not None and tok.kind == "PATH":
         cur.pos += 1
-        return tok[4]
+        return tok.value
+    # A path token that does not decode comes out of ``tokenize`` piece by
+    # piece: read the pieces, so that the error names the one at fault.
     cur.expect("LBRACK")
     out: list[int] = []
     tok = cur.peek()
-    if tok is not None and tok[0] == "INT":
-        out.append(int(cur.next()[1]))
-        while (nxt := cur.peek()) is not None and nxt[0] == "COMMA":
+    if tok is not None and tok.kind == "INT":
+        out.append(int(cur.next().text))
+        while (nxt := cur.peek()) is not None and nxt.kind == "COMMA":
             cur.next()
-            out.append(int(cur.expect("INT")[1]))
+            out.append(int(cur.expect("INT").text))
     cur.expect("RBRACK")
     return tuple(out)
 
 
 def parse_path(text: str) -> Path:
-    cur = TokenCursor(_scan(text, 1, {}), 1)
-    p = parse_path_tokens(cur)
-    cur.require_end()
-    return p
+    return _read_all(text, parse_path_tokens)
 
 
 def render_link(l: Link) -> str:
@@ -394,12 +401,31 @@ def render_links(ls) -> str:
     )
 
 
-def _parse_region(cur: TokenCursor) -> Region:
-    cur.expect("LPAR")
-    pat = parse_term(cur, allow_vars=True)
-    cur.expect("AT")
-    path = parse_path_tokens(cur)
-    cur.expect("RPAR")
+def _parse_region(cur: TokenCursor, paths: dict[str, Path], patterns: dict[tuple, Pattern]) -> Region:
+    """Read ``(<pattern> @ [path])`` from bare texts.  ``patterns`` maps the texts
+    up to each ``@`` read so far to their pattern, so no pattern is read twice."""
+    toks, end = cur.tokens, cur.end
+    if cur.pos == end or toks[cur.pos] != "(":
+        cur.expect("LPAR")  # raises
+    pos = cur.pos = cur.pos + 1
+    try:
+        at = toks.index("@", pos)
+    except ValueError:
+        at = pos
+    pat = patterns.get(key := tuple(toks[pos:at]))
+    if pat is None:
+        pat = patterns[key] = parse_term(cur, allow_vars=True)
+        if cur.pos != at:  # then the reading fails, and ``patterns`` goes with it
+            cur.expect("AT")
+    tok = toks[at + 1] if at + 1 < end else ""
+    path = _decode_path(tok[1:-1], paths) if tok[:1] == "[" and len(tok) > 1 else None
+    cur.pos = at + 1
+    if path is None:
+        parse_path_tokens(cur)  # raises, naming where
+    if at + 2 == end or toks[at + 2] != ")":
+        cur.pos = at + 2
+        cur.expect("RPAR")  # raises
+    cur.pos = at + 3
     return Region(pat, path)
 
 
@@ -407,14 +433,14 @@ def parse_links(text: str) -> frozenset:
     """Parse a link file; blank lines and ``--`` comments are ignored."""
     out = set()
     paths: dict[str, Path] = {}
+    patterns: dict[tuple, Pattern] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _scan(raw, lineno, paths)
-        if not tokens:
+        if not (texts := _texts(raw)):
             continue
-        cur = TokenCursor(tokens, lineno)
-        src = _parse_region(cur)
+        cur = TokenCursor(texts, lineno, raw=raw)
+        src = _parse_region(cur, paths, patterns)
         cur.expect("ARROW")
-        view = _parse_region(cur)
+        view = _parse_region(cur, paths, patterns)
         cur.require_end()
         out.add(Link(src, view))
     return frozenset(out)
@@ -424,16 +450,13 @@ def read_tree_file(text: str) -> Tree:
     """Tree files hold exactly one term and require a trailing newline."""
     if not text.endswith("\n"):
         raise LensSyntaxError("tree file must end with a newline", 1, 1)
-    paths: dict[str, Path] = {}
-    lines = [
-        (no, tokens)
-        for no, raw in enumerate(text.splitlines(), start=1)
-        if (tokens := _scan(raw, no, paths))
-    ]
+    lines = [(texts, no, raw) for no, raw in enumerate(text.splitlines(), 1) if (texts := _texts(raw))]
     if len(lines) != 1:
+        for _, no, raw in lines:
+            tokenize(raw, no)  # a stray character is reported first
         raise LensSyntaxError("tree file must contain exactly one term", 1, 1)
-    no, tokens = lines[0]
-    cur = TokenCursor(tokens, no)
+    texts, no, raw = lines[0]
+    cur = TokenCursor(texts, no, raw=raw)
     t = parse_term(cur, allow_vars=False)
     cur.require_end()
     return t

@@ -18,10 +18,10 @@ under test cannot leak into its reference.
 Paths are absolute index tuples.  Sharing their prefixes cannot make a CLI
 round sub-quadratic on spines, because the link text spells out every path:
 get's 386 links on a left-deep sum of 128 terms hold 49,409 path indices and
-render to 114 kB.  The text layer's Python work is per link (a path is
-decoded from, and rendered from, its parent path's cached text), so only C
-code touches each index; the bytes stay O(depth) per link until a new file
-format changes them.
+render to 114 kB.  The text layer's Python work is per link: one regex call
+per line yields the token texts, and a path is decoded from, and rendered
+from, its parent path's cached text, so only C code touches each index; the
+bytes stay O(depth) per link until a new file format changes them.
 """
 
 from __future__ import annotations

@@ -296,8 +296,8 @@ def test_relations_that_do_not_chain(capsys):
     chain = ["-p", str(EXAMPLES / "compose_chain.lens"), "-r", "Term", "Arith", "-r", "Expr", "Arith"]
     assert run(["get", *chain, "-i", str(EXAMPLES / "arith_cst.tree")]) == 2
     assert capsys.readouterr().err == (
-        "relations do not chain: view type Arith of the first lens differs "
-        "from source type Expr of the second\n"
+        "relations do not chain: view type Arith of -r 1 (Term <---> Arith) differs "
+        "from source type Expr of -r 2 (Expr <---> Arith)\n"
     )
 
 

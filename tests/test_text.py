@@ -273,7 +273,10 @@ def _outcome(f, *args):
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet=_ALPHABET + "\t", max_size=40))
 def test_tokens_match_the_recursive_readers_tokens(line):
-    assert _outcome(tokenize, line, 3) == _outcome(rr.tokenize, line, 3)
+    def fields(tokenize, line):
+        return [(t.kind, t.text, t.line, t.col, t.value) for t in tokenize(line, 3)]
+
+    assert _outcome(fields, tokenize, line) == _outcome(fields, rr.tokenize, line)
 
 
 def _mutants(text: str, count: int, seed: int):
