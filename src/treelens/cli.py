@@ -179,8 +179,11 @@ def _cmd_laws(args) -> int:
     for flag, least in (("trials", 1), ("size", 0), ("script_len", 0)):
         if getattr(args, flag) < least:
             raise _Usage(f"--{flag.replace('_', '-')} must be at least {least}")
-    if args.summary and not FsPath(args.summary).parent.is_dir():  # fail before the trials
-        raise _FileError(f"cannot write {FsPath(args.summary)}: No such file or directory")
+    if args.summary:  # a summary that cannot be written fails before the trials
+        out = FsPath(args.summary)
+        if out.is_dir() or not out.parent.is_dir():
+            why = "Is a directory" if out.is_dir() else "No such file or directory"
+            raise _FileError(f"cannot write {out}: {why}")
     h = _lens(args)
     summary = verify_laws(
         h, args.trials, size_bound=args.size, script_len=args.script_len, seed=args.seed

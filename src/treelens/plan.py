@@ -4,28 +4,32 @@ A program's rules never change after validation, so the engine does not
 interpret their patterns at each node.  The frontend types each side of a
 rule with one ``check_tree_type`` walk, whose hole map (path -> type, in
 preorder) names every variable and wildcard, and ``compile_rule`` turns the
-rule into one frozen ``Rule``.  Its closures are what the engine asks of a
-rule, each equal to a composition of the generic ``trees`` helpers:
+rule into one frozen ``Rule``.
 
-- ``match_source`` / ``match_view``: ``is_match`` of the source / view pattern;
-- each ``Variable``'s ``source_at`` / ``view_at``: that variable's entry of
-  ``decompose``, next to its types, its paths and the relation it recurses
-  into (None for a primitive, related by identity);
-- ``region``: get's source region, ``erase_vars(fill_wildcards(source, t))``;
-- ``build_view``: ``reconstruct(view, ...)`` from the variables' views, in
-  variable order;
-- ``build_source``: ``reconstruct`` of the source pattern from slots holding
-  the wildcards' fills (``defaults``, one ``default_value`` per wildcard, when
-  rebuilding), then the variables' parts;
-- ``merge``: the fills a link's source region gives the wildcards, or None
-  when the region is not one this rule can generate (a wildcard at each
-  variable, ground content at each wildcard, the rule's constructors and
-  literals elsewhere).
+One compiler, ``_compile``, serves every pattern.  Given the path of each
+hole and its slot, it classifies each node once: a hole, a constant (no
+hole at or below it), or a constructor whose table holds its children's
+entries.  Each rule compiles three patterns, and each serves two closures:
 
-Every pattern shape compiles the same way, nested constructors and literals
-included.  A constructor node becomes one closure over a table of its
-children: holes and literals are handled inline, nested constructors by
-their own closure.  Rules hold no mutable state, so programs stay shareable.
+- the source, whose holes are its wildcards and then its variables, in the
+  slot order ``build_source`` reads: ``match_source`` is ``is_match`` of the
+  source, and ``build_source`` is ``reconstruct`` of it from slots holding
+  the wildcards' fills (``defaults``, one ``default_value`` per wildcard,
+  when rebuilding) and then the variables' parts;
+- the view, whose holes are its variables: ``match_view`` is ``is_match``
+  of the view, and ``build_view`` is ``reconstruct`` of it from the
+  variables' views, in variable order;
+- the region pattern ``erase_vars(source)``, whose holes are the wildcards:
+  ``region`` is get's source region ``erase_vars(fill_wildcards(source,
+  t))``, and ``merge`` gives the fills a link's source region gives the
+  wildcards, or None unless the region holds ground content at each
+  wildcard and equals the region pattern elsewhere, the wildcards that
+  stand for erased variables included.
+
+Each ``Variable``'s ``source_at`` / ``view_at`` is that variable's entry of
+``decompose``, next to its types, its paths and the relation it recurses
+into (None for a primitive, related by identity).  Rules hold no mutable
+state, so programs stay shareable.
 """
 
 from __future__ import annotations
@@ -33,15 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .trees import Node, Path, Pattern, Tree, Var, Wildcard, erase_vars, is_ground
+from .trees import Node, Path, Pattern, Tree, Var, erase_vars, is_ground
 
 if TYPE_CHECKING:
     from .frontend import Relation
 
-# What a child of a compiled constructor node is: fixed content, a hole taken
-# from the input (a region's wildcard, a builder's slot), a variable (merge
-# only), or a nested constructor with its own closure.
-_CONST, _HOLE, _VAR, _SUB = range(4)
+# What a child of a compiled constructor is: fixed content, a hole (a slot of
+# a build, a wildcard of a region), or a constructor with its own closures.
+_CONST, _HOLE, _SUB = range(3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,23 +90,19 @@ def compile_rule(
     defaults: dict[Path, Tree],
 ) -> Rule:
     """The rule with these variables and wildcards (path -> default, in preorder)."""
-    slot = {h: k for k, h in enumerate(defaults)}
-    slot.update((x.source_path, len(defaults) + k) for k, x in enumerate(variables))
+    wild = {h: k for k, h in enumerate(defaults)}
+    slot = {**wild, **{x.source_path: len(wild) + k for k, x in enumerate(variables)}}
+    match_source, build_source = _compile(source, slot)
+    match_view, build_view = _compile(view, {x.view_path: k for k, x in enumerate(variables)})
+    region, walk = _compile(erase_vars(source), wild, region=True)
+
+    def merge(r: Pattern) -> "list[Tree] | None":
+        fills: list[Tree] = []
+        return fills if walk(r, fills) else None
+
     return Rule(
-        source,
-        view,
-        line,
-        index,
-        variables,
-        tuple(defaults.values()),
-        erase_vars(view),
-        isinstance(view, Var),
-        match_source=_matcher(source),
-        match_view=_matcher(view),
-        region=_region(source, {h[:k] for h in defaults for k in range(len(h) + 1)}),
-        build_view=_builder(view, {x.view_path: k for k, x in enumerate(variables)}),
-        build_source=_builder(source, slot),
-        merge=_merger(source),
+        source, view, line, index, variables, tuple(defaults.values()), erase_vars(view),
+        isinstance(view, Var), match_source, match_view, region, build_view, build_source, merge,
     )
 
 
@@ -118,153 +117,94 @@ def at(path: Path) -> Callable[[Tree], Tree]:
     return lambda t: parent(t).children[i]
 
 
-def _always(t: Tree) -> bool:
-    return True
+def _compile(p: Pattern, holes: dict[Path, int], region: bool = False) -> tuple[Callable, Callable]:
+    """``(match, build)`` of pattern ``p``, or ``(fill, merge)`` of a region pattern.
 
-
-def _matcher(p: Pattern) -> Callable[[Tree], bool]:
-    """``t -> is_match(p, t)``."""
-    if isinstance(p, (Var, Wildcard)):
-        return _always
-    if not isinstance(p, Node):
-        return lambda t: p == t
-    ctor, n = p.ctor, len(p.children)
-    lits = tuple((i, c) for i, c in enumerate(p.children) if not isinstance(c, (Node, Var, Wildcard)))
-    subs = tuple((i, _matcher(c)) for i, c in enumerate(p.children) if isinstance(c, Node))
-
-    def match(t: Tree) -> bool:
-        if not (isinstance(t, Node) and t.ctor == ctor and len(t.children) == n):
-            return False
-        ch = t.children
-        for i, c in lits:
-            if ch[i] != c:
-                return False
-        for i, m in subs:
-            if not m(ch[i]):
-                return False
-        return True
-
-    return match
-
-
-def _region(p: Pattern, wild: set[Path], here: Path = ()) -> Callable[[Tree], Pattern]:
-    """``t -> erase_vars(fill_wildcards(p, t))`` for a ``t`` that ``p`` matches.
-
-    ``wild`` holds every path with a wildcard of the rule at or below it.
+    ``holes`` maps each hole's path to its slot, in preorder.  ``match(t)``
+    is ``is_match`` with every hole matching anything, and ``build(slots)``
+    puts ``slots[k]`` at the hole of slot ``k``.  ``fill(t)`` takes each hole
+    from the tree ``t`` that the region pattern's source matched, and
+    ``merge(r, fills)`` appends ``r``'s ground content at each hole to
+    ``fills`` and is True iff ``r`` equals ``p`` everywhere else.
     """
-    if here not in wild:
-        region = erase_vars(p)
-        return lambda t: region
-    if isinstance(p, Wildcard):
-        return lambda t: t
-    ctor = p.ctor
-    table = tuple(
-        (_HOLE, None)
-        if isinstance(c, Wildcard)
-        else (_SUB, _region(c, wild, here + (i,)))
-        if here + (i,) in wild
-        else (_CONST, erase_vars(c))
-        for i, c in enumerate(p.children)
-    )
+    inner = {h[:k] for h in holes for k in range(len(h))}  # paths above a hole
 
-    def region(t: Tree) -> Pattern:
-        return Node(
-            ctor,
-            tuple(
-                [
-                    v if k == _CONST else c if k == _HOLE else v(c)
-                    for (k, v), c in zip(table, t.children)
-                ]
-            ),
-        )
+    def entry(q: Pattern, here: Path) -> tuple:
+        if here in holes:
+            return _HOLE, holes[here]
+        if here not in inner:
+            return _CONST, q
+        return _SUB, compile_node(q, here)
 
-    return region
+    def compile_node(q: Node, here: Path) -> tuple[Callable, Callable]:
+        ctor, n = q.ctor, len(q.children)
+        table = [entry(c, here + (i,)) for i, c in enumerate(q.children)]
 
+        def read_by(j: int) -> tuple:  # the table as closure j reads it: a constructor by its closure j
+            return tuple((k, v[j] if k == _SUB else v) for k, v in table)
 
-def _builder(p: Pattern, slot: dict[Path, int], here: Path = ()) -> Callable[[Sequence[Tree]], Tree]:
-    """``slots -> reconstruct(p, ...)``, the hole at each path of ``slot`` taking ``slots[slot[path]]``."""
-    if here in slot:
-        k = slot[here]
-        return lambda slots: slots[k]
-    if is_ground(p):
-        return lambda slots: p
-    ctor = p.ctor
-    table = tuple(
-        (_HOLE, slot[here + (i,)])
-        if here + (i,) in slot
-        else (_CONST, c)
-        if is_ground(c)
-        else (_SUB, _builder(c, slot, here + (i,)))
-        for i, c in enumerate(p.children)
-    )
+        if region:
+            fill_table, merge_table = read_by(0), read_by(1)
 
-    def build(slots: Sequence[Tree]) -> Tree:
-        return Node(
-            ctor,
-            tuple([v if k == _CONST else slots[v] if k == _HOLE else v(slots) for k, v in table]),
-        )
+            def fill(t: Tree) -> Pattern:
+                kids = zip(fill_table, t.children)
+                return Node(ctor, tuple([v if k == _CONST else c if k == _HOLE else v(c) for (k, v), c in kids]))
 
-    return build
+            def merge(r: Pattern, fills: list) -> bool:
+                if not (isinstance(r, Node) and r.ctor == ctor and len(r.children) == n):
+                    return False
+                for (k, v), c in zip(merge_table, r.children):
+                    if k == _HOLE:
+                        if not is_ground(c):
+                            return False
+                        fills.append(c)
+                    elif k == _CONST:
+                        if c is not v and c != v:  # an erased variable is WILDCARD, read or cut
+                            return False
+                    elif not v(c, fills):
+                        return False
+                return True
 
+            return fill, merge
+        consts = tuple((i, v) for i, (k, v) in enumerate(table) if k == _CONST)
+        subs = tuple((i, v[0]) for i, (k, v) in enumerate(table) if k == _SUB)
+        build_table = read_by(1)
 
-def _merger(p: Pattern) -> Callable[[Pattern], "list[Tree] | None"]:
-    """``region -> fills``: the region's ground content at each wildcard of ``p``, or None.
-
-    None unless the region has a wildcard exactly at each variable of ``p``,
-    ground content at each wildcard, and ``p``'s constructors and literals
-    elsewhere.
-    """
-    walk = _merge_walk(p)
-
-    def merge(region: Pattern) -> "list[Tree] | None":
-        fills: list[Tree] = []
-        return fills if walk(region, fills) else None
-
-    return merge
-
-
-def _merge_walk(p: Pattern) -> Callable[[Pattern, list], bool]:
-    if isinstance(p, Var):
-        return lambda r, fills: isinstance(r, Wildcard)
-    if isinstance(p, Wildcard):
-
-        def fill(r: Pattern, fills: list) -> bool:
-            if not is_ground(r):
+        def match(t: Tree) -> bool:
+            if not (isinstance(t, Node) and t.ctor == ctor and len(t.children) == n):
                 return False
-            fills.append(r)
+            ch = t.children
+            for i, c in consts:
+                if ch[i] != c:
+                    return False
+            for i, m in subs:
+                if not m(ch[i]):
+                    return False
             return True
 
-        return fill
-    if not isinstance(p, Node):
-        return lambda r, fills: r == p
-    ctor, n = p.ctor, len(p.children)
-    table = tuple(
-        (_VAR, None)
-        if isinstance(c, Var)
-        else (_HOLE, None)
-        if isinstance(c, Wildcard)
-        else (_SUB, _merge_walk(c))
-        if isinstance(c, Node)
-        else (_CONST, c)
-        for c in p.children
-    )
+        def build(slots: Sequence[Tree]) -> Tree:
+            return Node(
+                ctor,
+                tuple([v if k == _CONST else slots[v] if k == _HOLE else v(slots) for k, v in build_table]),
+            )
 
-    def walk(r: Pattern, fills: list) -> bool:
-        if not (isinstance(r, Node) and r.ctor == ctor and len(r.children) == n):
-            return False
-        for (k, v), c in zip(table, r.children):
-            if k == _VAR:
-                if not isinstance(c, Wildcard):
-                    return False
-            elif k == _HOLE:
-                if not is_ground(c):
-                    return False
-                fills.append(c)
-            elif k == _CONST:
-                if c != v:
-                    return False
-            elif not v(c, fills):
-                return False
-        return True
+        return match, build
 
-    return walk
+    kind, v = entry(p, ())
+    if kind == _SUB:
+        return v
+    if kind == _HOLE and region:  # the source is a wildcard
+
+        def take(r: Pattern, fills: list) -> bool:
+            fills.append(r)
+            return is_ground(r)
+
+        return (lambda t: t), take
+    if kind == _HOLE:
+        return (lambda t: True), (lambda slots: slots[v])
+    if region:
+        return (lambda t: p), (lambda r, fills: r == p)
+    if isinstance(p, Node):  # one frame per match, where ``t == p`` adds Node.__eq__'s
+        ctor, kids = p.ctor, p.children
+        return (lambda t: isinstance(t, Node) and t.ctor == ctor and t.children == kids), (lambda slots: p)
+    return (lambda t: t == p), (lambda slots: p)

@@ -18,12 +18,23 @@ def test_star_import_binds_the_api_and_no_submodules():
     assert "divide" not in ns and "add_v_prefix" not in ns
 
 
-ORACLES = {"decompose", "fill_wildcards", "reconstruct", "region_contains", "links_valid", "tree_size"}
+ORACLES = {
+    "decompose",
+    "fill_wildcards",
+    "reconstruct",
+    "region_contains",
+    "links_valid",
+    "tree_size",
+    "MatchFailure",
+    "WildcardPresent",
+    "UnboundVariable",
+}
 
 
-def test_only_trees_references_the_test_oracles():
+def test_no_module_of_the_package_references_the_test_oracles():
     # The generic helpers are the references the tests check compiled rules,
-    # the engine and the edits against, so no module under test may use them.
+    # the engine and the edits against (tests/oracles.py), so no module under
+    # test may define or use them.
     pkg = Path(treelens.__file__).parent
     used = {}
     for module in sorted(pkg.glob("*.py")):
@@ -31,7 +42,7 @@ def test_only_trees_references_the_test_oracles():
         for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.FunctionDef):
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.add(node.name)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -39,6 +50,12 @@ def test_only_trees_references_the_test_oracles():
                 names.add(node.name.rpartition(".")[2])
                 names.add(node.asname or "")
         used[module.stem] = names & ORACLES
-    assert used.pop("trees") == ORACLES
-    assert "engine" in used and "plan" in used
+    assert {"engine", "plan", "trees"} <= used.keys()
     assert {m: n for m, n in used.items() if n} == {}
+    oracles = Path(__file__).with_name("oracles.py").read_text(encoding="utf-8")
+    defined = {
+        node.name
+        for node in ast.parse(oracles).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert defined == ORACLES

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import EXAMPLES, example_text
+from oracles import MatchFailure, fill_wildcards, links_valid, tree_size
 from treelens import (
     WILDCARD,
     IntLeaf,
@@ -45,7 +46,7 @@ from treelens.edits import (
 from treelens.engine import IllTypedInput
 from treelens.harness import _list_elements, _typed_positions, gen_tree
 from treelens.schema import type_at
-from treelens.trees import MatchFailure, PathOutOfRange, fill_wildcards, links_valid
+from treelens.trees import PathOutOfRange
 
 
 def _state(h, s):
@@ -339,7 +340,6 @@ def test_type_at_walks_the_schema_along_the_path(books):
 
 def test_typed_script_checks_the_whole_view_once(books, monkeypatch):
     from treelens import edits
-    from treelens.trees import tree_size
 
     h, book, st, ctx = books
     sizes = []

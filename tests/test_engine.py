@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import subtrees
+from oracles import links_valid, tree_size
 from treelens import (
     WILDCARD,
     IntLeaf,
@@ -18,7 +19,7 @@ from treelens import (
     render_pattern,
 )
 from treelens.engine import IllTypedInput, InvalidLinks, UnknownRelation
-from treelens.trees import Wildcard, links_valid
+from treelens.trees import Wildcard
 
 
 def _link(sp, spath, vp, vpath):
@@ -492,7 +493,6 @@ def test_get_builds_each_link_once(arith_expr, monkeypatch, n):
 
 def test_put_and_check_visit_linearly_many_nodes(arith_expr, monkeypatch):
     from treelens import engine
-    from treelens.trees import tree_size
 
     calls = _counting(monkeypatch, engine, "_sync")
     counts = {}

@@ -1,4 +1,10 @@
-"""A seeded fuzz of the command line on the shipped ``arith`` and ``addrbook`` files.
+"""A seeded fuzz of the command line on the shipped programs and a chain.
+
+The ``arith`` and ``addrbook`` cases start from their shipped files.  The
+``sugarlang`` case (``SProg <---> AProg``, the resugaring example) and the
+``chain`` case (``Expr -> Arith -> NArith`` of ``compose_chain.lens``) start
+from a source tree and an edit script that ``gen_tree`` and ``gen_script``
+draw under the fixed seed; they take fewer mutants per file.
 
 Each case mutates one file of a get -> edit -> put round: the source tree,
 the view tree, the link file get wrote, the edit script, or the program.  A
@@ -22,19 +28,23 @@ import pytest
 
 import recursive_reader as rr
 from conftest import EXAMPLES, example_text
+from treelens import gen_script, gen_tree, load_program, render_script
 from treelens.cli import run
-from treelens.text import LensSyntaxError, parse_links, read_tree_file
+from treelens.text import LensSyntaxError, parse_links, read_tree_file, write_tree_file
 
 SEED = 20261018
-CHAR_MUTANTS = 40  # per file and kind of mutant
-TOKEN_MUTANTS = 40
 
 _ALPHABET = '()[],@<->_"\\ 0123456789Aaz~|=-\t٣é#'
 
+# program, relation(s), source tree and edit script (None: generated), mutants per kind
 CASES = {
-    "arith": ("arith.lens", ["-r", "Expr", "Arith"], "arith_cst.tree", "arith_swap.edits"),
-    "addrbook": ("addrbook.lens", ["-r", "AddrBook", "SocialBook"], "addrbook.tree", "addrbook_update.edits"),
+    "arith": ("arith.lens", ["-r", "Expr", "Arith"], "arith_cst.tree", "arith_swap.edits", 40),
+    "addrbook": ("addrbook.lens", ["-r", "AddrBook", "SocialBook"], "addrbook.tree", "addrbook_update.edits", 40),
+    "sugarlang": ("sugarlang.lens", ["-r", "SProg", "AProg"], None, None, 14),
+    "chain": ("compose_chain.lens", ["-r", "Expr", "Arith", "-r", "Arith", "NArith"], None, None, 14),
 }
+GEN_SIZE = 40
+GEN_SCRIPT_LEN = 3
 
 
 def _token_spans(text: str) -> list[tuple[int, int]]:
@@ -74,10 +84,8 @@ def _token_mutant(rng: random.Random, text: str, pool: list[str]) -> str:
     return text[:a] + rng.choice(pool) + text[b:]
 
 
-def _mutants(rng: random.Random, text: str, pool: list[str]) -> list[str]:
-    return [_char_mutant(rng, text) for _ in range(CHAR_MUTANTS)] + [
-        _token_mutant(rng, text, pool) for _ in range(TOKEN_MUTANTS)
-    ]
+def _mutants(rng: random.Random, text: str, pool: list[str], n: int) -> list[str]:
+    return [_char_mutant(rng, text) for _ in range(n)] + [_token_mutant(rng, text, pool) for _ in range(n)]
 
 
 def _outcome(f, text):
@@ -97,13 +105,14 @@ def _run(argv, capsys) -> int:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_survives_mutated_inputs(case, tmp_path, capsys):
-    lens_name, relation, tree_name, script_name = CASES[case]
+    lens_name, relation, tree_name, script_name, n = CASES[case]
     rng = random.Random(f"{SEED}:{case}")
-    files = {
-        "p.lens": example_text(lens_name),
-        "s.tree": example_text(tree_name),
-        "e.edits": example_text(script_name),
-    }
+    files = {"p.lens": example_text(lens_name)}
+    vp = load_program(files["p.lens"], lens_name)
+    if tree_name:
+        files["s.tree"] = example_text(tree_name)
+    else:
+        files["s.tree"] = write_tree_file(gen_tree(vp.schema, relation[1], GEN_SIZE, SEED))
     path = {name: str(tmp_path / name) for name in ("p.lens", "s.tree", "v.tree", "v.links", "e.edits", "out")}
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -112,6 +121,12 @@ def test_cli_survives_mutated_inputs(case, tmp_path, capsys):
     assert run(get) == 0
     files["v.tree"] = (tmp_path / "v.tree").read_text(encoding="utf-8")
     files["v.links"] = (tmp_path / "v.links").read_text(encoding="utf-8")
+    if script_name:
+        files["e.edits"] = example_text(script_name)
+    else:
+        view = read_tree_file(files["v.tree"])
+        files["e.edits"] = render_script(gen_script(vp.schema, relation[-1], view, GEN_SCRIPT_LEN, SEED))
+    (tmp_path / "e.edits").write_text(files["e.edits"], encoding="utf-8")
     pool = [text[a:b] for text in files.values() for a, b in _token_spans(text)]
 
     put = ["put", *program, "-s", path["s.tree"], "-v", path["v.tree"], "-l", path["v.links"], "-o", path["out"]]
@@ -128,7 +143,7 @@ def test_cli_survives_mutated_inputs(case, tmp_path, capsys):
                "v.links": (parse_links, rr.parse_links)}
     codes = set()
     for name, argvs in commands.items():
-        for mutant in _mutants(rng, files[name], pool):
+        for mutant in _mutants(rng, files[name], pool, n):
             if name in readers:
                 mine, reference = readers[name]
                 assert _outcome(mine, mutant) == _outcome(reference, mutant), (name, mutant)
@@ -171,6 +186,15 @@ def test_a_laws_summary_in_a_missing_directory_fails_before_the_trials(tmp_path,
     argv = ["laws", "-p", str(EXAMPLES / "arith.lens"), "-r", "Expr", "Arith", "--summary", str(summary)]
     assert run(argv) == 1
     assert capsys.readouterr().err == f"cannot write {summary}: No such file or directory\n"
+
+
+def test_a_laws_summary_that_is_a_directory_fails_before_the_trials(tmp_path, capsys, monkeypatch):
+    from treelens import cli
+
+    monkeypatch.setattr(cli, "verify_laws", lambda *a, **k: pytest.fail("the trials ran"))
+    argv = ["laws", "-p", str(EXAMPLES / "arith.lens"), "-r", "Expr", "Arith", "--summary", str(tmp_path)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"cannot write {tmp_path}: Is a directory\n"
 
 
 @pytest.mark.parametrize(

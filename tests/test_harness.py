@@ -1,10 +1,10 @@
 import pytest
 
 from conftest import example_text
+from oracles import tree_size
 from treelens import lens, parse_tree, verify_laws
 from treelens.harness import corrupt_links, gen_script, gen_tree
 from treelens.schema import check_tree_type
-from treelens.trees import tree_size
 
 
 def test_gen_tree_respects_bound_and_types(arith):

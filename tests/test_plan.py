@@ -1,16 +1,19 @@
-"""Compiled rules against the generic ``trees`` helpers they replace in the engine.
+"""Compiled rules against the generic helpers they replace in the engine.
 
 Each closure of a rule must agree with the helper composition it stands
-for: ``is_match`` for the match verdicts, ``decompose`` for the bindings,
+for: ``is_match`` for the match verdicts, and the oracles of ``oracles.py``
+for the rest: ``decompose`` for the bindings,
 ``erase_vars(fill_wildcards(...))`` for get's region and ``reconstruct`` for
-every rebuilt tree.  ``merge`` has no public helper; its reference is the
+every rebuilt tree.  ``merge`` has no generic helper; its reference is the
 recursive region merge written out below.  A rule's variable records must
-agree with the typing walk's hole map and the program's relations.
+agree with the typing walk's hole map and the program's relations, and a
+rule compiles its three patterns once each.
 """
 
 import pytest
 
 from conftest import EXAMPLES, defaulted, subtrees
+from oracles import decompose, fill_wildcards, reconstruct
 from treelens import (
     WILDCARD,
     IntLeaf,
@@ -23,13 +26,15 @@ from treelens import (
     is_match,
     lens,
     load_program,
+    parse_pattern,
     parse_program,
+    parse_tree,
     sel,
 )
 from treelens.frontend import Relation, _compile_rule
 from treelens.harness import corrupt_links, gen_tree
 from treelens.schema import PRIMITIVES
-from treelens.trees import decompose, fill_wildcards, is_ground, reconstruct
+from treelens.trees import is_ground
 
 SEEDS = range(50)
 
@@ -148,6 +153,19 @@ def test_plans_agree_with_the_generic_helpers(vp, rel):
                     _assert_merge(rule, region)
 
 
+def test_each_rule_compiles_its_source_view_and_region_pattern_once(monkeypatch):
+    from treelens import plan
+
+    compiled = []
+    compile_pattern = plan._compile
+    monkeypatch.setattr(plan, "_compile", lambda p, *a, **k: compiled.append(p) or compile_pattern(p, *a, **k))
+    for path in sorted(EXAMPLES.glob("*.lens")):
+        compiled.clear()
+        vp = load_program(path.read_text(encoding="utf-8"), path.name)
+        rules = [r for rel in vp.relations for r in rel.rules]
+        assert compiled == [q for r in rules for q in (r.source, r.view, erase_vars(r.source))]
+
+
 @pytest.mark.parametrize("vp,rel", _relations())
 def test_rule_variables_agree_with_the_typing_walk(vp, rel):
     for rule in rel.rules:
@@ -167,24 +185,25 @@ def test_rule_variables_agree_with_the_typing_walk(vp, rel):
 
 
 _LITERAL_NESTED = """\
-data T = A Int Pr | B String | C | D Int String T
+data T = A Int Pr | B String | C | D Int String T | E Pr Int
 data Pr = Pr String T
-data V = VA V | VB String | VC
+data V = VA V | VB String | VC | VD VP V
+data VP = VP Int String
 
 T <---> V
   A 7 (Pr _ t) ~ VA t
   B s ~ VB s
   C ~ VC
   D _ _ t ~ VA t
+  E (Pr s t) _ ~ VD (VP 0 s) t
   _ ~ VC
 """
 
 
-def test_plans_with_a_literal_and_a_nested_constructor():
+def _literal_nested():
     # A literal in a source pattern cannot pass validation (coverage needs a
     # wild row at its position, which overlaps it), so the rules are
-    # compiled one by one.  `D _ _ t` has two wildcards of different types,
-    # so its defaults must come in preorder; `_` is a wildcard at the root.
+    # compiled one by one.
     prog = parse_program(_LITERAL_NESTED)
     (raw_rel,) = prog.relations
     rel = Relation("T", "V", raw_rel.line)
@@ -192,6 +211,14 @@ def test_plans_with_a_literal_and_a_nested_constructor():
         _compile_rule(prog.schema, raw_rel, raw, i, {("T", "V"): rel}, [])
         for i, raw in enumerate(raw_rel.rules)
     ]
+    assert None not in rules
+    return prog, rel, rules
+
+
+def test_plans_with_a_literal_and_a_nested_constructor():
+    # `D _ _ t` has two wildcards of different types, so its defaults must
+    # come in preorder; `_` is a wildcard at the root.
+    prog, rel, rules = _literal_nested()
     a_rule = rules[0]
     (t_var,) = a_rule.variables
     assert (t_var.name, t_var.source_path) == ("t", (1, 1)) and t_var.relation is rel
@@ -212,3 +239,31 @@ def test_plans_with_a_literal_and_a_nested_constructor():
     for r in _region_variants(region.children[1]):
         _assert_merge(a_rule, Node("A", (IntLeaf(7), r)))
     _assert_merge(a_rule, Node("A", (IntLeaf(8), region.children[1])))
+
+
+def test_plans_with_a_constant_that_holds_erased_variables():
+    # `E (Pr s t) _` nests a constructor that holds only variables, so its
+    # region pattern `E (Pr _ _) _` keeps `Pr _ _` as a constant, which merge
+    # must find equal, erased variables included.  `VD (VP 0 s) t` nests a
+    # literal under a constructor that holds a variable.
+    prog, _, rules = _literal_nested()
+    e_rule = rules[4]
+    hit = parse_tree('E (Pr "c" C) 4')
+    assert e_rule.match_source(hit) and not e_rule.match_source(parse_tree("C"))
+    region = e_rule.region(hit)
+    assert region == parse_pattern("E (Pr _ _) 4")
+    assert e_rule.merge(region) == [IntLeaf(4)]
+    for bad in ('E (Pr "z" _) 4', "E (Pr _ C) 4", "E _ 4", "E (Pr _ _) _", "E (Pr _) 4"):
+        assert e_rule.merge(parse_pattern(bad)) is None
+        _assert_merge(e_rule, parse_pattern(bad))
+    view = parse_tree('VD (VP 0 "c") VC')
+    assert e_rule.match_view(view) and not e_rule.match_view(parse_tree('VD (VP 1 "c") VC'))
+    assert e_rule.build_view([StrLeaf("c"), Node("VC")]) == view
+    for v in (view, parse_tree('VD (VP 0 "c") (VD (VP 3 "d") VC)')):
+        for _, sub in subtrees(v):
+            for rule in rules:
+                _assert_view_side(rule, sub)
+    for seed in range(200):
+        for _, sub in subtrees(gen_tree(prog.schema, "V", 20, seed)):
+            for rule in rules:
+                _assert_view_side(rule, sub)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import EXAMPLES, defaulted, example_text
+from oracles import reconstruct
 from treelens import (
     check_tree_type,
     fst_projection,
@@ -18,7 +19,6 @@ from treelens import (
 from treelens.edits import Copy, EditContext, EditState, apply_script
 from treelens.engine import IllTypedInput, InvalidLinks
 from treelens.harness import gen_tree
-from treelens.trees import reconstruct
 
 RELATIONS = [
     ("arith.lens", "Expr", "Arith"),

@@ -14,6 +14,7 @@ from treelens import (
     parse_tree,
 )
 from conftest import EXAMPLES, example_text
+from oracles import tree_size
 from treelens import EditContext, EditState, Replace, apply_script, gen_tree, lens
 from treelens.schema import PRIMITIVES, IllTyped, NoFiniteDefault, type_at
 from treelens.frontend import load_program, normalize_type_name
@@ -115,8 +116,6 @@ def _enumerate_trees(sch, ty, max_size):
             pools.append(_enumerate_trees(sch, a, budget))
         for combo in itertools.product(*pools):
             t = Node(c.name, tuple(combo))
-            from treelens.trees import tree_size
-
             if tree_size(t) <= max_size:
                 out.append(t)
     return out
@@ -125,8 +124,6 @@ def _enumerate_trees(sch, ty, max_size):
 def test_default_is_global_minimizer(arith):
     # Exhaustive enumeration oracle: nothing smaller exists, and the default
     # itself appears among the minimum-size trees, first in declaration order.
-    from treelens.trees import tree_size
-
     for ty in ("Arith", "Term", "Expr"):
         d = default_value(arith.schema, ty)
         all_small = _enumerate_trees(arith.schema, ty, tree_size(d))

@@ -3,6 +3,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import subtrees
+from oracles import (
+    MatchFailure,
+    UnboundVariable,
+    WildcardPresent,
+    decompose,
+    fill_wildcards,
+    links_valid,
+    reconstruct,
+    region_contains,
+    tree_size,
+)
 from treelens import (
     IntLeaf,
     Link,
@@ -19,18 +30,7 @@ from treelens import (
     parse_tree,
     sel,
 )
-from treelens.trees import (
-    MatchFailure,
-    PathOutOfRange,
-    UnboundVariable,
-    WildcardPresent,
-    decompose,
-    fill_wildcards,
-    links_valid,
-    reconstruct,
-    region_contains,
-    tree_size,
-)
+from treelens.trees import PathOutOfRange
 
 
 def test_sel_annotation_path(demo_cst):
