@@ -24,7 +24,7 @@ from .text import (
     parse_term,
     render_path,
     render_pattern,
-    tokenize,
+    token_lines,
 )
 from .trees import (
     Link,
@@ -363,7 +363,7 @@ def _parse_paren_tree(cur: TokenCursor) -> Tree:
 
 # Script argument kinds: (parse, render).
 _PATH = (parse_path_tokens, render_path)
-_INT = (lambda cur: int(cur.expect("INT").text), str)
+_INT = (lambda cur: int(cur.expect("INT")), str)
 _TREE = (_parse_paren_tree, lambda t: f"({render_pattern(t)})")
 
 # The script grammar: keyword -> (op class, argument kinds).  An op's fields are
@@ -381,14 +381,11 @@ _OPS = {
 def parse_script(text: str) -> list[EditOp]:
     """One operation per line; blank lines and ``--`` comments are ignored."""
     ops: list[EditOp] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = tokenize(raw, lineno)
-        if not tokens:
-            continue
-        cur = TokenCursor(tokens, lineno)
-        head = cur.expect("LIDENT").text
+    for cur in token_lines(text):
+        head = cur.expect("LIDENT")
         if head not in _OPS:
-            raise LensSyntaxError(f"unknown edit operation {head!r}", lineno, 1)
+            cur.positioned()  # a stray character is reported first
+            raise LensSyntaxError(f"unknown edit operation {head!r}", cur.line, 1)
         cls, kinds = _OPS[head]
         ops.append(cls(*[parse(cur) for parse, _ in kinds]))
         cur.require_end()

@@ -8,9 +8,10 @@ subclass's untyped cores ``_get``/``_try_put``; ``put`` raises try_put's
 failure and ``check``/``check_explain`` report it, so "put iff check" holds
 by construction.
 
-``LensHandle`` is the lens of one declared relation.  Its recursion mirrors
-the rule structure: at each view node either no input link ends here
-(rebuild case: pick the first matching rule, preferring one whose view
+``LensHandle`` is the lens of one declared relation, looked up once, when
+the handle is built; a primitive source is read by identity.  Its recursion
+mirrors the rule structure: at each view node either no input link ends
+here (rebuild case: pick the first matching rule, preferring one whose view
 pattern is not a bare variable) or some link does (retain case: pick the
 link with the shortest source path, find the unique rule able to generate
 its regions — the current relation first, then the other relations sharing
@@ -40,7 +41,7 @@ absolute paths, to one accumulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .frontend import Relation, ValidatedProgram, normalize_type_name
 from .plan import Rule
@@ -410,11 +411,19 @@ class Lens:
 
 @dataclass
 class LensHandle(Lens):
-    """The lens of one relation of a validated program."""
+    """The lens of one relation of a validated program, resolved once, when the handle is built."""
 
     program: ValidatedProgram
     source_type: str
     view_type: str
+    relation: Relation | None = field(init=False, repr=False, compare=False)  # None: identity
+
+    def __post_init__(self) -> None:
+        sty, vty = self.source_type, self.view_type
+        rel = self.program.relation(sty, vty)
+        if rel is None and not (sty in PRIMITIVES and sty == vty):
+            raise UnknownRelation(f"{sty} <---> {vty}")
+        self.relation = None if sty in PRIMITIVES else rel  # a primitive source is read by identity
 
     @property
     def source_schema(self):
@@ -425,30 +434,17 @@ class LensHandle(Lens):
         return self.program.schema
 
     def _get(self, s: Tree) -> tuple[Tree, LinkSet]:
-        if self.source_type in PRIMITIVES:
+        if self.relation is None:
             return s, frozenset()
-        rel = self.program.relation(self.source_type, self.view_type)
-        if rel is None:
-            raise UnknownRelation(f"{self.source_type} <---> {self.view_type}")
         acc: list[Link] = []
-        view = _get(rel, s, (), (), acc)
+        view = _get(self.relation, s, (), (), acc)
         return view, frozenset(acc)
 
     def _try_put(self, s: Tree, v: Tree, ls) -> Tree | CheckFailure:
-        rel = None
-        if self.source_type not in PRIMITIVES:
-            rel = self.program.relation(self.source_type, self.view_type)
-            if rel is None:
-                return CheckFailure(
-                    "E-no-relation", f"no relation {self.source_type} <---> {self.view_type}", ()
-                )
-        return _sync(self.program, {(): s}, rel, v, _index_links(ls), 0, 0, None)
+        return _sync(self.program, {(): s}, self.relation, v, _index_links(ls), 0, 0, None)
 
 
 def lens(program: ValidatedProgram, source_type: str, view_type: str) -> LensHandle:
     """Resolve type names and build a handle; the relation must be declared."""
-    sty = normalize_type_name(program, source_type)
-    vty = normalize_type_name(program, view_type)
-    if not (sty in PRIMITIVES and sty == vty) and program.relation(sty, vty) is None:
-        raise UnknownRelation(f"{sty} <---> {vty}")
+    sty, vty = normalize_type_name(program, source_type), normalize_type_name(program, view_type)
     return LensHandle(program, sty, vty)

@@ -2,6 +2,8 @@
 
 A program is a list of type declarations followed by one or more consistency
 relations, each a ``S <---> V`` header over inductive rules ``spat ~ vpat``.
+A line and the ``|`` lines that continue it are read from their bare token
+texts through one ``text.TokenCursor``, as tree, link and script files are.
 Type expressions are terms, read by ``text.parse_term`` like the rules'
 patterns: a type ends at the first token no type may hold (``=``, ``|``,
 ``<--->``), and a declaration's parameters are its variables.  Parsing
@@ -38,7 +40,7 @@ from .schema import (
     check_tree_type,
     default_value,
 )
-from .text import LensSyntaxError, Token, TokenCursor, parse_term, render_pattern, tokenize
+from .text import LensSyntaxError, TokenCursor, parse_term, read_all, render_pattern, token_lines
 from .trees import Node, Path, Pattern, Var, Wildcard, WILDCARD, sel
 
 _INSTANTIATION_DEPTH_LIMIT = 64
@@ -122,16 +124,16 @@ def _parse_type(cur: TokenCursor, params: bool) -> Node:
     The term's own errors at its end name that token, at its own line and
     column; the caller reads it next (``=``, ``|``, ``<--->`` or a stray token).
     """
-    toks, end = cur.tokens, cur.pos
     kinds = _ALTERNATIVE_TOKENS if params else _TYPE_TOKENS
-    while end < len(toks) and toks[end].kind in kinds:
+    end = cur.pos
+    while cur.kind(end) in kinds:
         end += 1
     if end == cur.pos:
         cur.expect("UIDENT")  # raises, naming the token that cannot start a type
-    sub = TokenCursor(toks, cur.line, cur.pos, end)
-    t = parse_term(sub, allow_vars=True)
-    sub.require_end()
-    cur.pos = end
+    stop, cur.end = cur.end, end
+    t = parse_term(cur, allow_vars=True)
+    cur.require_end()
+    cur.end = stop
     return t  # type: ignore[return-value]  # a variable is never a whole type
 
 
@@ -217,102 +219,95 @@ class _SchemaBuilder:
                 self.schema.synonyms[decl.name] = self.name(target)
 
 
-def _logical_lines(text: str) -> list[tuple[int, list[Token]]]:
-    lines: list[tuple[int, list[Token]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = tokenize(raw, lineno)
-        if not tokens:
-            continue
-        if tokens[0].kind == "PIPE" and lines:
-            lines[-1][1].extend(tokens)
+def _logical_lines(text: str) -> list[TokenCursor]:
+    """A cursor over each line that holds a token; a ``|`` line reads on from the one before."""
+    lines: list[TokenCursor] = []
+    for cur in token_lines(text):
+        if cur.tokens[0] == "|" and lines:
+            lines[-1].extend(cur)
         else:
-            lines.append((lineno, tokens))
+            lines.append(cur)
     return lines
 
 
 def _parse_data_decl(cur: TokenCursor, line: int) -> DataDecl:
-    name = cur.expect("UIDENT").text
+    name = cur.expect("UIDENT")
     params: list[str] = []
-    while (tok := cur.peek()) is not None and tok.kind == "LIDENT":
-        params.append(cur.next().text)
+    while cur.kind(cur.pos) == "LIDENT":
+        params.append(cur.expect("LIDENT"))
     cur.expect("EQ")
     ctors: list[Node] = []
     while True:
-        if (tok := cur.peek()) is None or tok.kind != "UIDENT":
+        if cur.kind(cur.pos) != "UIDENT":
             cur.expect("UIDENT")  # an alternative starts with its constructor
         ctors.append(_parse_type(cur, params=True))
-        if (tok := cur.peek()) is not None and tok.kind == "PIPE":
-            cur.next()
-            continue
-        break
+        if cur.kind(cur.pos) != "PIPE":
+            break
+        cur.pos += 1
     cur.require_end()
     return DataDecl(name, tuple(params), ctors, line)
 
 
 def parse_program(text: str, source_name: str = "<program>") -> Program:
-    """Parse the concrete syntax into a ``Program``; raises ``LensSyntaxError``."""
+    """Parse the concrete syntax into a ``Program``; raises ``LensSyntaxError``.
+
+    The program's first stray character is reported ahead of any other error.
+    A line that holds one never reads, so the lines are positioned, in order,
+    only once an error is raised.
+    """
+    lines = _logical_lines(text)
+    try:
+        return _parse_lines(lines, source_name)
+    except LensSyntaxError:
+        for cur in lines:
+            cur.positioned()
+        raise
+
+
+def _parse_lines(lines: list[TokenCursor], source_name: str) -> Program:
     builder = _SchemaBuilder()
     decls: list[SynDecl | DataDecl] = []
-    relations: list[RawRelation] = []
-    headers: list[tuple[int, TokenCursor]] = []
-    pending_rules: list[list[RawRule]] = []
-
-    for lineno, tokens in _logical_lines(text):
-        cur = TokenCursor(tokens, lineno)
-        first = tokens[0]
-        if first.kind == "LIDENT" and first.text in ("data", "type"):
-            if relations or headers:
-                raise LensSyntaxError(
-                    "type declarations must precede relation definitions", lineno, first.col
-                )
-            cur.next()
-            if first.text == "data":
+    headers: list[tuple[TokenCursor, list[RawRule]]] = []  # each relation's header and rules
+    for cur in lines:
+        toks, lineno = cur.tokens, cur.line
+        if toks[0] in ("data", "type"):
+            if headers:
+                raise cur.error("type declarations must precede relation definitions", 0)
+            cur.pos = 1
+            if toks[0] == "data":
                 decl: SynDecl | DataDecl = _parse_data_decl(cur, lineno)
             else:
-                name = cur.expect("UIDENT").text
+                name = cur.expect("UIDENT")
                 cur.expect("EQ")
-                target = _parse_type(cur, params=False)
+                decl = SynDecl(name, _parse_type(cur, params=False), lineno)
                 cur.require_end()
-                decl = SynDecl(name, target, lineno)
             decls.append(decl)
             builder.declare(decl)
-            continue
-        if any(t.kind == "REL" for t in tokens):
-            headers.append((lineno, cur))
-            pending_rules.append([])
-            continue
-        if any(t.kind == "TILDE" for t in tokens):
+        elif "<--->" in toks:
+            headers.append((cur, []))
+        elif "~" in toks:
             if not headers:
-                raise LensSyntaxError("rule before any relation header", lineno, first.col)
+                raise cur.error("rule before any relation header", 0)
             spat = parse_term(cur, allow_vars=True)
             cur.expect("TILDE")
             vpat = parse_term(cur, allow_vars=True)
             cur.require_end()
-            pending_rules[-1].append(RawRule(spat, vpat, lineno))
-            continue
-        raise LensSyntaxError(f"cannot parse line: {first.text!r}...", lineno, first.col)
+            headers[-1][1].append(RawRule(spat, vpat, lineno))
+        else:
+            raise cur.error("cannot parse line: {!r}...", 0)
 
     builder.finish(decls)
-
-    for (lineno, cur), rules in zip(headers, pending_rules):
+    relations: list[RawRelation] = []
+    for cur, rules in headers:
         source_expr = _parse_type(cur, params=False)
         cur.expect("REL")
         view_expr = _parse_type(cur, params=False)
         cur.require_end()
         if not rules:
-            raise LensSyntaxError("a relation needs at least one rule", lineno, 1)
-        sce = builder.canonical(source_expr, {}, lineno)
-        vce = builder.canonical(view_expr, {}, lineno)
-        relations.append(
-            RawRelation(
-                source_expr,
-                view_expr,
-                builder.name(sce),
-                builder.name(vce),
-                rules,
-                lineno,
-            )
-        )
+            raise LensSyntaxError("a relation needs at least one rule", cur.line, 1)
+        sty = builder.name(builder.canonical(source_expr, {}, cur.line))
+        vty = builder.name(builder.canonical(view_expr, {}, cur.line))
+        relations.append(RawRelation(source_expr, view_expr, sty, vty, rules, cur.line))
     if not relations:
         raise LensSyntaxError("a program needs at least one relation", 1, 1)
     return Program(builder.schema, relations, decls, source_name)
@@ -337,9 +332,7 @@ def render_program(p: Program) -> str:
 
 def normalize_type_name(program: Program | "ValidatedProgram", text: str) -> str:
     """Resolve a user-written type expression to its canonical ground name."""
-    cur = TokenCursor(tokenize(text), 1)
-    expr = _parse_type(cur, params=False)
-    cur.require_end()
+    expr = read_all(text, lambda cur: _parse_type(cur, params=False))
     schema = program.schema
 
     def walk(e: Node) -> str:

@@ -12,14 +12,15 @@ rule patterns of a program and the trees of an edit script.  It keeps an
 explicit stack of open applications, so nesting depth is bounded by memory,
 not by the recursion limit; ``render_pattern`` is a loop for the same reason.
 
-Tokens.  One ``findall`` per line returns its token texts, in C, up to a
-``--`` token; a catch-all alternative makes any other non-blank character a
-token, so only blanks lie between texts.  A token's kind comes from its
-first character.  Tree and link files are read from bare texts, and a
-position is found only for an error, by ``tokenize`` reading the line again:
-it reports the line's first stray character ahead of any other error, and
-splits a path token that does not decode, so that the error points inside
-it.  Programs and scripts are read from ``tokenize``'s ``Token``s.
+One token stream.  One ``findall`` per line returns its token texts, in C,
+up to a ``--`` token; a catch-all alternative makes any other non-blank
+character a token, so only blanks lie between texts.  ``token_lines`` is the
+one loop over a file's lines, and every reader, of tree, link, program and
+script files alike, reads a line's bare texts through a ``TokenCursor``; a
+token's kind comes from its first character.  Positions are found only for
+an error, by ``tokenize`` reading the line again: it reports the line's
+first stray character ahead of any other error, and splits a path token that
+does not decode, so that the error points inside it.
 
 A link file's path is decoded from its parent's, and a region pattern read
 once; the writer renders a path from its parent's text, and each distinct
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import re
 import string
+from typing import Iterator
 
 from .trees import (
     IntLeaf,
@@ -103,12 +105,6 @@ def _kind(text: str) -> str | None:
     return None if text in ('"', "-") else kind  # a lone '"' or '-' is stray
 
 
-class Token(str):
-    """A token's text, with its ``kind``, ``line``, ``col`` and a path's indices, ``value``."""
-
-    text = property(str.__str__)  # the text as a plain ``str``
-
-
 def _decode_path(body: str, paths: dict[str, Path]) -> Path | None:
     """``tuple(map(int, body.split(",")))`` (``()`` if blank), or None if that fails.  ``paths``
     caches the bodies decoded so far: a body whose parent, the text before its last comma,
@@ -129,13 +125,14 @@ def _decode_path(body: str, paths: dict[str, Path]) -> Path | None:
     return value
 
 
-def tokenize(text: str, line: int = 1) -> list[Token]:
-    """The tokens of one logical line; a stray character is an error.
+def tokenize(text: str, line: int = 1) -> tuple[list[str], list[tuple[int, int]]]:
+    """The token texts of one line and their (line, column)s; a stray character is an error.
 
     Each text is found after the one before it.  A path token that does not
-    decode becomes an LBRACK, and the line is read on from just inside it.
+    decode becomes ``[``, and the line is read on from just inside it.
     """
-    out: list[Token] = []
+    out: list[str] = []
+    where: list[tuple[int, int]] = []
     paths: dict[str, Path] = {}
     col, texts = 0, _texts(text)[::-1]  # texts are taken from the end
     while texts:
@@ -144,14 +141,12 @@ def tokenize(text: str, line: int = 1) -> list[Token]:
         kind = _kind(t)
         if kind is None:
             raise LensSyntaxError(f"unexpected character {t!r}", line, col + 1)
-        value = _decode_path(t[1:-1], paths) if kind == "PATH" else None
-        if kind == "PATH" and value is None:
-            t, kind, texts = "[", "LBRACK", _texts(text[col + 1 :])[::-1]
-        tok = str.__new__(Token, t)
-        tok.__dict__ = {"kind": kind, "line": line, "col": col + 1, "value": value}
-        out.append(tok)
+        if kind == "PATH" and _decode_path(t[1:-1], paths) is None:
+            t, texts = "[", _texts(text[col + 1 :])[::-1]
+        out.append(t)
+        where.append((line, col + 1))
         col += len(t)
-    return out
+    return out, where
 
 
 def unescape_string(raw: str, line: int = 0, col: int = 0) -> str:
@@ -171,50 +166,64 @@ def escape_string(s: str) -> str:
 
 
 class TokenCursor:
-    """Sequential reader over ``tokens[pos:end]``: ``Token``s, or the bare texts of ``raw``, which
-    become ``Token``s for an error or ``peek``.  The two agree up to the first path token that does
-    not decode, where any reader fails.  An error at ``end`` names the token there, or ``''``."""
+    """Sequential reader over the token texts ``tokens[pos:end]`` of line ``line``, ``raw``, and
+    of the lines that continue it, ``more``.  Their positions are found only for an error, by
+    ``positioned``.  An error at ``end`` names the token there, or ``''``."""
 
-    def __init__(self, tokens: list, line=0, pos=0, end: int | None = None, raw: str | None = None):
-        self.tokens, self.pos, self.line, self.raw = tokens, pos, line, raw
-        self.end = len(tokens) if end is None else end
+    where: list[tuple[int, int]] | None = None  # each token's (line, column), once positioned
+    more: tuple[TokenCursor, ...] = ()
 
-    def positioned(self) -> list[Token]:
-        if self.raw is not None:  # a stray character raises here
-            self.tokens, self.raw = tokenize(self.raw, self.line), None
-            self.end = len(self.tokens)
-        return self.tokens
+    def __init__(self, tokens: list[str], line: int, raw: str):
+        self.tokens, self.line, self.raw, self.pos, self.end = tokens, line, raw, 0, len(tokens)
+
+    def extend(self, other: TokenCursor) -> None:
+        """Read ``other``'s tokens on after this line's, as one logical line."""
+        self.tokens += other.tokens
+        self.end = len(self.tokens)
+        self.more += (other,)
+
+    def positioned(self) -> list[tuple[int, int]]:
+        """The tokens' positions, from ``tokenize`` of the lines again: a stray character raises
+        here, and a path token that does not decode becomes its pieces.  The texts agree with
+        the bare ones up to that token, so ``pos``, and an ``end`` before it, still hold."""
+        if self.where is None:
+            tokens, where = tokenize(self.raw, self.line)
+            for cur in self.more:
+                where += cur.positioned()
+                tokens += cur.tokens
+            if self.end == len(self.tokens):
+                self.end = len(tokens)
+            self.tokens, self.where = tokens, where
+        return self.where
 
     def error(self, message: str, i: int | None = None) -> LensSyntaxError:
         """``message`` at token ``i``, whose text replaces ``{!r}``; at the line if none."""
-        toks = self.positioned()
-        if i is not None and i < len(toks):
-            tok = toks[i]
-            return LensSyntaxError(message.format(tok.text), tok.line, tok.col)
+        where = self.positioned()
+        if i is not None and i < len(where):
+            return LensSyntaxError(message.format(self.tokens[i]), *where[i])
         return LensSyntaxError(message.format(""), self.line, 0)
 
-    def peek(self) -> Token | None:
-        return self.positioned()[self.pos] if self.pos < self.end else None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("unexpected end of input")
-        self.pos += 1
-        return tok
+    def kind(self, i: int) -> str | None:
+        """The kind of token ``i``; None at ``end`` or after, and for a stray character."""
+        return _kind(self.tokens[i]) if i < self.end else None
 
     def expect(self, kind: str) -> str:
         pos = self.pos
-        if pos < self.end:
-            tok = self.tokens[pos]
-            if (tok.kind if self.raw is None else _FIXED.get(tok) or _kind(tok)) == kind:
-                self.pos = pos + 1
-                return tok
+        if pos < self.end and _kind(tok := self.tokens[pos]) == kind:
+            self.pos = pos + 1
+            return tok
         raise self.error(f"expected {kind}, found {{!r}}", pos)
 
     def require_end(self) -> None:
         if self.pos < self.end:
             raise self.error("trailing input {!r}", self.pos)
+
+
+def token_lines(text: str) -> Iterator[TokenCursor]:
+    """A cursor over each line of ``text`` that holds a token: the one loop of every reader."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if texts := _texts(raw):
+            yield TokenCursor(texts, lineno, raw)
 
 
 # Token texts that end an application's argument list: ``) ~ @ ] <->``.
@@ -246,10 +255,10 @@ def parse_term(cur: TokenCursor, allow_vars: bool) -> Pattern:
             continue
         if "A" <= c <= "Z":
             if top:
-                stack.append((str(tok), []))
+                stack.append((tok, []))
                 value = None
             else:
-                value = Node(str(tok))
+                value = Node(tok)
         elif c == '"' and len(tok) > 1:
             try:
                 value = StrLeaf(unescape_string(tok) if "\\" in tok else tok[1:-1])
@@ -262,7 +271,7 @@ def parse_term(cur: TokenCursor, allow_vars: bool) -> Pattern:
         elif "a" <= c <= "z":
             if not allow_vars:
                 raise cur.error("variable not allowed in a tree", pos)
-            value = Var(str(tok))
+            value = Var(tok)
         elif c.isdecimal() or c == "-" and len(tok) > 1:
             value = IntLeaf(int(tok))
         else:
@@ -291,20 +300,20 @@ def parse_term(cur: TokenCursor, allow_vars: bool) -> Pattern:
             return value
 
 
-def _read_all(text: str, read):
+def read_all(text: str, read):
     """``read`` of all of ``text``, as one line."""
-    cur = TokenCursor(_texts(text), 1, raw=text)
+    cur = TokenCursor(_texts(text), 1, text)
     value = read(cur)
     cur.require_end()
     return value
 
 
 def parse_pattern(text: str) -> Pattern:
-    return _read_all(text, lambda cur: parse_term(cur, allow_vars=True))
+    return read_all(text, lambda cur: parse_term(cur, allow_vars=True))
 
 
 def parse_tree(text: str) -> Tree:
-    return _read_all(text, lambda cur: parse_term(cur, allow_vars=False))
+    return read_all(text, lambda cur: parse_term(cur, allow_vars=False))
 
 
 def render_pattern(p: Pattern) -> str:
@@ -342,26 +351,27 @@ def render_path(p: Path) -> str:
 
 
 def parse_path_tokens(cur: TokenCursor) -> Path:
-    tok = cur.peek()
-    if tok is not None and tok.kind == "PATH":
-        cur.pos += 1
-        return tok.value
+    if cur.kind(cur.pos) == "PATH":
+        path = _decode_path(cur.tokens[cur.pos][1:-1], {})
+        if path is not None:
+            cur.pos += 1
+            return path
     # A path token that does not decode comes out of ``tokenize`` piece by
     # piece: read the pieces, so that the error names the one at fault.
+    cur.positioned()
     cur.expect("LBRACK")
     out: list[int] = []
-    tok = cur.peek()
-    if tok is not None and tok.kind == "INT":
-        out.append(int(cur.next().text))
-        while (nxt := cur.peek()) is not None and nxt.kind == "COMMA":
-            cur.next()
-            out.append(int(cur.expect("INT").text))
+    if cur.kind(cur.pos) == "INT":
+        out.append(int(cur.expect("INT")))
+        while cur.kind(cur.pos) == "COMMA":
+            cur.pos += 1
+            out.append(int(cur.expect("INT")))
     cur.expect("RBRACK")
     return tuple(out)
 
 
 def parse_path(text: str) -> Path:
-    return _read_all(text, parse_path_tokens)
+    return read_all(text, parse_path_tokens)
 
 
 def render_link(l: Link) -> str:
@@ -434,10 +444,7 @@ def parse_links(text: str) -> frozenset:
     out = set()
     paths: dict[str, Path] = {}
     patterns: dict[tuple, Pattern] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not (texts := _texts(raw)):
-            continue
-        cur = TokenCursor(texts, lineno, raw=raw)
+    for cur in token_lines(text):
         src = _parse_region(cur, paths, patterns)
         cur.expect("ARROW")
         view = _parse_region(cur, paths, patterns)
@@ -450,13 +457,12 @@ def read_tree_file(text: str) -> Tree:
     """Tree files hold exactly one term and require a trailing newline."""
     if not text.endswith("\n"):
         raise LensSyntaxError("tree file must end with a newline", 1, 1)
-    lines = [(texts, no, raw) for no, raw in enumerate(text.splitlines(), 1) if (texts := _texts(raw))]
+    lines = list(token_lines(text))
     if len(lines) != 1:
-        for _, no, raw in lines:
-            tokenize(raw, no)  # a stray character is reported first
+        for cur in lines:
+            cur.positioned()  # a stray character is reported first
         raise LensSyntaxError("tree file must contain exactly one term", 1, 1)
-    texts, no, raw = lines[0]
-    cur = TokenCursor(texts, no, raw=raw)
+    cur = lines[0]
     t = parse_term(cur, allow_vars=False)
     cur.require_end()
     return t

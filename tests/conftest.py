@@ -4,9 +4,16 @@ from pathlib import Path
 
 import pytest
 
+import treelens
 from treelens import Node, Wildcard, check_tree_type, default_value, lens, load_program, parse_tree
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "lens_examples"
+
+
+def pytest_report_header(config):
+    # pyproject.toml puts this checkout's src first on sys.path, so a copy's
+    # tests must be run from inside the copy; the header shows which one runs.
+    return f"treelens under test: {Path(treelens.__file__).parent}"
 
 
 def example_text(name: str) -> str:

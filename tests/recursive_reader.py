@@ -2,9 +2,12 @@
 
 Kept as a reference oracle for the differential tests in ``test_text.py``:
 its tokenizer makes one ``Token`` per match, whitespace included, decodes
-every path body with ``int`` per index, and reads terms by recursion.
-Errors are ``treelens.text.LensSyntaxError``, so both readers' failures
-compare by their text.
+every path body with ``int`` per index, and reads terms by recursion.  Its
+cursor serves the interface of ``treelens.text.TokenCursor`` (token texts,
+``kind``, ``positioned``, ``extend``) from those ``Token``s, so that a module
+of the package can read through ``token_lines`` and ``parse_term`` of this
+file.  Errors are ``treelens.text.LensSyntaxError``, so both readers'
+failures compare by their text.
 """
 
 from __future__ import annotations
@@ -80,20 +83,38 @@ def tokenize(text: str, line: int = 1) -> list[Token]:
 
 
 class TokenCursor:
-    """Reads ``tokens[pos:end]``, as ``treelens.text.TokenCursor`` does; an
+    """Reads ``toks[pos:end]``, as ``treelens.text.TokenCursor`` reads its texts; an
     error at ``end`` names the token there, or ``''`` at the end of the list."""
 
-    def __init__(self, tokens: list[Token], line: int = 0, pos: int = 0, end: int | None = None):
-        self.tokens = tokens
+    def __init__(self, toks: list[Token], line: int = 0, pos: int = 0, end: int | None = None):
+        self.toks = toks
+        self.tokens = [t.text for t in toks]
         self.pos = pos
         self.line = line
-        self.end = len(tokens) if end is None else end
+        self.end = len(toks) if end is None else end
+
+    def extend(self, other: TokenCursor) -> None:
+        self.toks = self.toks + other.toks
+        self.tokens = self.tokens + other.tokens
+        self.end = len(self.toks)
+
+    def positioned(self) -> list[tuple[int, int]]:
+        return [(t.line, t.col) for t in self.toks]
+
+    def kind(self, i: int) -> str | None:
+        return self.toks[i].kind if i < self.end else None
 
     def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < self.end else None
+        return self.toks[self.pos] if self.pos < self.end else None
 
     def stop(self) -> Token:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else Token("EOF", "", self.line, 0)
+        return self.toks[self.pos] if self.pos < len(self.toks) else Token("EOF", "", self.line, 0)
+
+    def error(self, message: str, i: int | None = None) -> LensSyntaxError:
+        if i is not None and i < len(self.toks):
+            tok = self.toks[i]
+            return LensSyntaxError(message.format(tok.text), tok.line, tok.col)
+        return LensSyntaxError(message.format(""), self.line, 0)
 
     def next(self) -> Token:
         tok = self.peek()
@@ -102,19 +123,27 @@ class TokenCursor:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str) -> str:
         tok = self.peek()
         if tok is None or tok.kind != kind:
             where = tok or self.stop()
             raise LensSyntaxError(
                 f"expected {kind}, found {where.text!r}", where.line, where.col
             )
-        return self.next()
+        return self.next().text
 
     def require_end(self) -> None:
         tok = self.peek()
         if tok is not None:
             raise LensSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
+
+
+def token_lines(text: str):
+    """A reference cursor over each line of ``text`` that holds a token."""
+    for no, raw in enumerate(text.splitlines(), start=1):
+        toks = tokenize(raw, no)
+        if toks:
+            yield TokenCursor(toks, no)
 
 
 def parse_pattern_tokens(cur: TokenCursor, allow_vars: bool, top: bool = True):
@@ -160,7 +189,7 @@ def parse_pattern_tokens(cur: TokenCursor, allow_vars: bool, top: bool = True):
     raise LensSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
-def parse_path_tokens(cur) -> tuple:
+def parse_path_tokens(cur: TokenCursor) -> tuple:
     tok = cur.peek()
     if tok is not None and tok.kind == "PATH":
         return cur.next().value
@@ -171,14 +200,14 @@ def parse_path_tokens(cur) -> tuple:
         out.append(int(cur.next().text))
         while (nxt := cur.peek()) is not None and nxt.kind == "COMMA":
             cur.next()
-            out.append(int(cur.expect("INT").text))
+            out.append(int(cur.expect("INT")))
     cur.expect("RBRACK")
     return tuple(out)
 
 
 def parse_term(cur, allow_vars: bool):
     """``parse_pattern_tokens`` on any cursor's tokens, for patching into a module."""
-    mine = TokenCursor(cur.tokens, cur.line, cur.pos, cur.end)
+    mine = TokenCursor(cur.toks, cur.line, cur.pos, cur.end)
     try:
         return parse_pattern_tokens(mine, allow_vars)
     finally:
@@ -196,11 +225,7 @@ def _parse_region(cur: TokenCursor) -> Region:
 
 def parse_links(text: str) -> frozenset:
     out = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = tokenize(raw, lineno)
-        if not tokens:
-            continue
-        cur = TokenCursor(tokens, lineno)
+    for cur in token_lines(text):
         src = _parse_region(cur)
         cur.expect("ARROW")
         view = _parse_region(cur)
@@ -212,12 +237,10 @@ def parse_links(text: str) -> frozenset:
 def read_tree_file(text: str):
     if not text.endswith("\n"):
         raise LensSyntaxError("tree file must end with a newline", 1, 1)
-    lines = [(no, tokenize(raw, no)) for no, raw in enumerate(text.splitlines(), start=1)]
-    lines = [(no, toks) for no, toks in lines if toks]
+    lines = list(token_lines(text))
     if len(lines) != 1:
         raise LensSyntaxError("tree file must contain exactly one term", 1, 1)
-    no, toks = lines[0]
-    cur = TokenCursor(toks, no)
+    cur = lines[0]
     t = parse_pattern_tokens(cur, allow_vars=False)
     cur.require_end()
     return t

@@ -430,13 +430,14 @@ def test_failure_ill_typed_view(arith_expr, demo_cst):
 
 
 def test_failure_no_relation(arith):
-    # lens() refuses undeclared pairs; a handle built directly reaches the engine.
+    # A handle resolves its relation when it is built, so an undeclared pair
+    # never reaches the engine, whether built by lens() or directly.
     from treelens.engine import LensHandle
 
-    h = LensHandle(arith, "Expr", "Expr")
-    s = parse_tree('FromT "" (Lit "" 1)')
-    f = h.check_explain(s, s, frozenset())
-    assert f is not None and (f.code, f.view_path) == ("E-no-relation", ())
+    with pytest.raises(UnknownRelation, match="^Expr <---> Expr$"):
+        LensHandle(arith, "Expr", "Expr")
+    assert LensHandle(arith, "Int", "Int").relation is None
+    assert LensHandle(arith, "Expr", "Arith").relation is arith.relation("Expr", "Arith")
 
 
 def test_ambiguous_link_is_prevented_by_validation():

@@ -1,15 +1,18 @@
 """A seeded fuzz of the command line on the shipped programs and a chain.
 
 The ``arith`` and ``addrbook`` cases start from their shipped files.  The
-``sugarlang`` case (``SProg <---> AProg``, the resugaring example) and the
-``chain`` case (``Expr -> Arith -> NArith`` of ``compose_chain.lens``) start
-from a source tree and an edit script that ``gen_tree`` and ``gen_script``
-draw under the fixed seed; they take fewer mutants per file.
+``sugarlang`` case (``SProg <---> AProg``, the resugaring example) starts
+from its shipped source tree, whose methods hold a ``while`` loop, a ``for``
+loop and an assignment, and from an edit script that ``gen_script`` draws
+under the fixed seed.  The ``chain`` case (``Expr -> Arith -> NArith`` of
+``compose_chain.lens``) draws its source tree with ``gen_tree`` too.  These
+two take fewer mutants per file.
 
 Each case mutates one file of a get -> edit -> put round: the source tree,
 the view tree, the link file get wrote, the edit script, or the program.  A
 mutant either changes one character or edits one token: deletes it, repeats
 it, swaps it with its neighbour, or replaces it with a token of any of the
+files, or else replaces a whole parenthesized subterm with one of any of the
 files, so that well-formed fragments land in the wrong place (Holler,
 Herzig & Zeller, "Fuzzing with code fragments", USENIX Security 2012).
 
@@ -40,7 +43,7 @@ _ALPHABET = '()[],@<->_"\\ 0123456789Aaz~|=-\t٣é#'
 CASES = {
     "arith": ("arith.lens", ["-r", "Expr", "Arith"], "arith_cst.tree", "arith_swap.edits", 40),
     "addrbook": ("addrbook.lens", ["-r", "AddrBook", "SocialBook"], "addrbook.tree", "addrbook_update.edits", 40),
-    "sugarlang": ("sugarlang.lens", ["-r", "SProg", "AProg"], None, None, 14),
+    "sugarlang": ("sugarlang.lens", ["-r", "SProg", "AProg"], "sugarlang.tree", None, 14),
     "chain": ("compose_chain.lens", ["-r", "Expr", "Arith", "-r", "Arith", "NArith"], None, None, 14),
 }
 GEN_SIZE = 40
@@ -69,11 +72,22 @@ def _char_mutant(rng: random.Random, text: str) -> str:
     return text[:i] + c + text[i + 1 :]
 
 
-def _token_mutant(rng: random.Random, text: str, pool: list[str]) -> str:
+def _subterms(text: str, spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(start, end) of every parenthesized subterm of ``text``, parentheses included."""
+    out, opened = [], []
+    for a, b in spans:
+        if text[a:b] == "(":
+            opened.append(a)
+        elif text[a:b] == ")" and opened:
+            out.append((opened.pop(), b))
+    return out
+
+
+def _token_mutant(rng: random.Random, text: str, pool: list[str], subterms: list[str]) -> str:
     spans = _token_spans(text)
     k = rng.randrange(len(spans))
     a, b = spans[k]
-    op = rng.randrange(4)
+    op = rng.randrange(5)
     if op == 0:
         return text[:a] + text[b:]
     if op == 1:
@@ -81,11 +95,16 @@ def _token_mutant(rng: random.Random, text: str, pool: list[str]) -> str:
     if op == 2 and k + 1 < len(spans):
         c, d = spans[k + 1]
         return text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+    if op == 3 and (inner := _subterms(text, spans)):
+        c, d = rng.choice(inner)
+        return text[:c] + rng.choice(subterms) + text[d:]
     return text[:a] + rng.choice(pool) + text[b:]
 
 
-def _mutants(rng: random.Random, text: str, pool: list[str], n: int) -> list[str]:
-    return [_char_mutant(rng, text) for _ in range(n)] + [_token_mutant(rng, text, pool) for _ in range(n)]
+def _mutants(rng: random.Random, text: str, pool: list[str], subterms: list[str], n: int) -> list[str]:
+    return [_char_mutant(rng, text) for _ in range(n)] + [
+        _token_mutant(rng, text, pool, subterms) for _ in range(n)
+    ]
 
 
 def _outcome(f, text):
@@ -128,6 +147,9 @@ def test_cli_survives_mutated_inputs(case, tmp_path, capsys):
         files["e.edits"] = render_script(gen_script(vp.schema, relation[-1], view, GEN_SCRIPT_LEN, SEED))
     (tmp_path / "e.edits").write_text(files["e.edits"], encoding="utf-8")
     pool = [text[a:b] for text in files.values() for a, b in _token_spans(text)]
+    subterms = [
+        text[a:b] for text in files.values() for a, b in _subterms(text, _token_spans(text))
+    ]
 
     put = ["put", *program, "-s", path["s.tree"], "-v", path["v.tree"], "-l", path["v.links"], "-o", path["out"]]
     edit = ["edit", "-v", path["v.tree"], "-l", path["v.links"], "-e", path["e.edits"], "-o", path["out"],
@@ -143,7 +165,7 @@ def test_cli_survives_mutated_inputs(case, tmp_path, capsys):
                "v.links": (parse_links, rr.parse_links)}
     codes = set()
     for name, argvs in commands.items():
-        for mutant in _mutants(rng, files[name], pool, n):
+        for mutant in _mutants(rng, files[name], pool, subterms, n):
             if name in readers:
                 mine, reference = readers[name]
                 assert _outcome(mine, mutant) == _outcome(reference, mutant), (name, mutant)

@@ -5,10 +5,13 @@ for: ``is_match`` for the match verdicts, and the oracles of ``oracles.py``
 for the rest: ``decompose`` for the bindings,
 ``erase_vars(fill_wildcards(...))`` for get's region and ``reconstruct`` for
 every rebuilt tree.  ``merge`` has no generic helper; its reference is the
-recursive region merge written out below.  A rule's variable records must
-agree with the typing walk's hole map and the program's relations, and a
-rule compiles its three patterns once each.
+recursive region merge written out below, and a source region with content
+where its rule has an erased variable must reach ``merge`` and fail there.
+A rule's variable records must agree with the typing walk's hole map and
+the program's relations, and a rule compiles its three patterns once each.
 """
+
+import random
 
 import pytest
 
@@ -17,10 +20,13 @@ from oracles import decompose, fill_wildcards, reconstruct
 from treelens import (
     WILDCARD,
     IntLeaf,
+    Link,
     Node,
+    Region,
     StrLeaf,
     Var,
     Wildcard,
+    canonical_links,
     check_tree_type,
     erase_vars,
     is_match,
@@ -31,6 +37,8 @@ from treelens import (
     parse_tree,
     sel,
 )
+from treelens.edits import _replace_at
+from treelens.engine import InvalidLinks
 from treelens.frontend import Relation, _compile_rule
 from treelens.harness import corrupt_links, gen_tree
 from treelens.schema import PRIMITIVES
@@ -267,3 +275,47 @@ def test_plans_with_a_constant_that_holds_erased_variables():
         for _, sub in subtrees(gen_tree(prog.schema, "V", 20, seed)):
             for rule in rules:
                 _assert_view_side(rule, sub)
+
+
+def _filled_erased_variable(s, ls, seed):
+    """One of get's links ``ls`` with the source subtree put in place of a
+    ``_`` of its source region, which stands for an erased variable (get
+    fills every rule wildcard), or None if no region holds one."""
+    spots = [
+        (l, q)
+        for l in canonical_links(ls)
+        for q, sub in subtrees(l.source.pattern)
+        if isinstance(sub, Wildcard)
+    ]
+    if not spots:
+        return None
+    l, q = spots[random.Random(seed).randrange(len(spots))]
+    filled = _replace_at(l.source.pattern, q, sel(s, l.source.path + q))
+    assert is_match(filled, sel(s, l.source.path))
+    return l, Link(Region(filled, l.source.path), l.view)
+
+
+def test_merge_rejects_content_at_an_erased_variable():
+    # A source region that still matches the source, but holds content where
+    # the rule's region pattern has an erased variable, is generated by no
+    # rule: put's check must name that link, and put must refuse it.
+    from test_programs import RELATIONS
+
+    ran = 0
+    for name, sty, vty in RELATIONS:
+        vp = load_program((EXAMPLES / name).read_text(encoding="utf-8"), name)
+        h = lens(vp, sty, vty)
+        for seed in SEEDS:
+            s = gen_tree(vp.schema, h.source_type, 30, seed)
+            v, ls = h.get(s)
+            found = _filled_erased_variable(s, ls, seed)
+            if found is None:
+                continue
+            ran += 1
+            old, bad = found
+            links = ls - {old} | {bad}
+            f = h.check_explain(s, v, links)
+            assert f is not None and (f.code, f.link) == ("E-no-generating-rule", bad), (name, seed)
+            with pytest.raises(InvalidLinks):
+                h.put(s, v, links)
+    assert ran == 406, ran  # of 550: no region of the other sources holds an erased variable

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recursive_reader as rr
-from conftest import example_text
+from conftest import EXAMPLES, example_text
 from treelens import (
     IntLeaf,
     Link,
@@ -25,7 +25,7 @@ from treelens import (
 )
 from treelens.edits import parse_script
 from treelens.frontend import parse_program, render_program
-from treelens.text import LensSyntaxError, _decode_path, read_tree_file, tokenize, write_tree_file
+from treelens.text import LensSyntaxError, _decode_path, _kind, read_tree_file, tokenize, write_tree_file
 
 
 def _lit(s, i):
@@ -273,10 +273,17 @@ def _outcome(f, *args):
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet=_ALPHABET + "\t", max_size=40))
 def test_tokens_match_the_recursive_readers_tokens(line):
-    def fields(tokenize, line):
-        return [(t.kind, t.text, t.line, t.col, t.value) for t in tokenize(line, 3)]
+    # A token is its text; its kind comes from ``_kind`` and a path's value
+    # from ``_decode_path``, as the readers take them.
+    def fields(line):
+        texts, where = tokenize(line, 3)
+        value = lambda t: _decode_path(t[1:-1], {}) if _kind(t) == "PATH" else None  # noqa: E731
+        return [(_kind(t), t, *w, value(t)) for t, w in zip(texts, where)]
 
-    assert _outcome(fields, tokenize, line) == _outcome(fields, rr.tokenize, line)
+    def reference(line):
+        return [(t.kind, t.text, t.line, t.col, t.value) for t in rr.tokenize(line, 3)]
+
+    assert _outcome(fields, line) == _outcome(reference, line)
 
 
 def _mutants(text: str, count: int, seed: int):
@@ -322,8 +329,7 @@ def test_tree_files_parse_as_the_recursive_reader_does():
 
 def _with_recursive_reader(module, f, *args):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(module, "tokenize", rr.tokenize)
-        mp.setattr(module, "TokenCursor", rr.TokenCursor)
+        mp.setattr(module, "token_lines", rr.token_lines)
         mp.setattr(module, "parse_term", rr.parse_term)
         return _outcome(f, *args)
 
@@ -367,6 +373,32 @@ def test_script_trees_parse_as_the_recursive_reader_does(name):
     text = example_text(name) + 'replace [0,1] (Plus "x \\" y" (Lit "" -1) (Neg "" (Lit "" 2)))\n'
     for mutant in _mutants(text, 800, len(name)):
         assert _outcome(parse_script, mutant) == _with_recursive_reader(edits, parse_script, mutant), mutant
+
+
+def test_well_formed_files_are_read_without_positions(monkeypatch):
+    # One token stream: every reader takes bare token texts, and ``tokenize``
+    # runs only to report an error, so no shipped file, nor get's links, nor
+    # a relation's type names, ever reach it.
+    from test_programs import RELATIONS
+    from treelens import gen_tree, lens, load_program, text
+
+    def refuse(*args):
+        raise AssertionError(f"tokenize{args!r}")
+
+    monkeypatch.setattr(text, "tokenize", refuse)
+    names = {kind: sorted(EXAMPLES.glob("*." + kind)) for kind in ("lens", "edits", "tree")}
+    assert [len(names[kind]) for kind in ("edits", "tree")] == [2, 3] and len(names["lens"]) >= 9
+    for path in names["lens"]:
+        load_program(path.read_text(encoding="utf-8"), path.name)
+    for path in names["edits"]:
+        assert parse_script(path.read_text(encoding="utf-8"))
+    for path in names["tree"]:
+        read_tree_file(path.read_text(encoding="utf-8"))
+    for name, sty, vty in RELATIONS:
+        vp = load_program(example_text(name), name)
+        h = lens(vp, sty, vty)
+        ls = h.get(gen_tree(vp.schema, h.source_type, 30, len(name)))[1]
+        assert parse_links(render_links(ls)) == ls
 
 
 # ---------------------------------------------------------------------------
