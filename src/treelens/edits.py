@@ -18,7 +18,6 @@ from typing import Iterable, Union
 from .engine import IllTypedInput
 from .schema import IllTyped, Schema, check_tree_type, type_at
 from .text import (
-    LensSyntaxError,
     TokenCursor,
     parse_path_tokens,
     parse_term,
@@ -384,8 +383,7 @@ def parse_script(text: str) -> list[EditOp]:
     for cur in token_lines(text):
         head = cur.expect("LIDENT")
         if head not in _OPS:
-            cur.positioned()  # a stray character is reported first
-            raise LensSyntaxError(f"unknown edit operation {head!r}", cur.line, 1)
+            raise cur.error("unknown edit operation {!r}", 0)
         cls, kinds = _OPS[head]
         ops.append(cls(*[parse(cur) for parse, _ in kinds]))
         cur.require_end()

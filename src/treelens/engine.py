@@ -423,7 +423,7 @@ class LensHandle(Lens):
         rel = self.program.relation(sty, vty)
         if rel is None and not (sty in PRIMITIVES and sty == vty):
             raise UnknownRelation(f"{sty} <---> {vty}")
-        self.relation = None if sty in PRIMITIVES else rel  # a primitive source is read by identity
+        self.relation = rel  # None for a primitive source, read by identity: no relation has one
 
     @property
     def source_schema(self):

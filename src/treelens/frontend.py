@@ -499,8 +499,8 @@ def _compile_rule(
     variables = []
     for x, (spath, sty) in svars.items():
         vpath, vty = vvars[x]
-        # A primitive is related by identity; a missing relation is E-var-relation.
-        relation = None if sty in PRIMITIVES else by_pair.get((sty, vty))
+        # A primitive is related by identity (E-primitive-source); a missing relation is E-var-relation.
+        relation = by_pair.get((sty, vty))
         variables.append(Variable(x, relation, sty, vty, spath, vpath, at(spath), at(vpath)))
     return compile_rule(raw.source, raw.view, raw.line, index, tuple(variables), defaults)
 
@@ -603,6 +603,16 @@ def validate_program(program: Program) -> ValidatedProgram:
         if key in pair_set:
             diags.append(
                 Diagnostic(r.line, 1, "E-duplicate-relation", f"relation {key[0]} <---> {key[1]} declared twice")
+            )
+        if key[0] in PRIMITIVES:
+            diags.append(
+                Diagnostic(
+                    r.line,
+                    1,
+                    "E-primitive-source",
+                    f"relation {key[0]} <---> {key[1]} has a primitive source type; "
+                    f"a primitive is related only to itself, by identity",
+                )
             )
         pair_set.add(key)
 

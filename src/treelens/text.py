@@ -16,15 +16,23 @@ One token stream.  One ``findall`` per line returns its token texts, in C,
 up to a ``--`` token; a catch-all alternative makes any other non-blank
 character a token, so only blanks lie between texts.  ``token_lines`` is the
 one loop over a file's lines, and every reader, of tree, link, program and
-script files alike, reads a line's bare texts through a ``TokenCursor``; a
-token's kind comes from its first character.  Positions are found only for
+script files alike, reads a line's bare texts through a ``TokenCursor`` (a
+link file as the writer wrote it is read in one pass, below); a token's kind
+comes from its first character.  Positions are found only for
 an error, by ``tokenize`` reading the line again: it reports the line's
 first stray character ahead of any other error, and splits a path token that
 does not decode, so that the error points inside it.
 
-A link file's path is decoded from its parent's, and a region pattern read
-once; the writer renders a path from its parent's text, and each distinct
-pattern once.  So the Python work of a link file is per link, while the bytes
+Link files have two readers.  A file as ``render_links`` writes it, every
+line ``(<pattern> @ [i,j,...]) <-> (<pattern> @ [i,j,...])`` with single
+spaces, no comment and a newline at its end, is read by one ``findall`` of a
+whole-line regex over the file; each distinct pattern is then read once and
+each distinct path body decoded once, from its parent's.  Any other file,
+one with a comment, a blank line, other spacing or a CRLF line end, and
+every file that holds an error, goes to the line reader, which reads it
+line by line through ``token_lines`` and alone reports errors.  The writer
+renders a path from its parent's text, and each pattern object once, keyed
+by identity.  So the Python work of a link file is per link, while the bytes
 stay O(depth) per link: the format is unchanged, because a file in it is
 self-describing line by line and the benchmark's independent parser reads it.
 """
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import re
 import string
+from operator import itemgetter
 from typing import Iterator
 
 from .trees import (
@@ -385,16 +394,18 @@ def render_link(l: Link) -> str:
 def render_links(ls) -> str:
     """Canonical link-set text: sorted, one link per line, trailing newline.
 
-    Each distinct pattern renders once, and a path whose parent path was
-    rendered before is its parent's text with one index appended.
+    Each pattern object renders once, keyed by its identity, which is safe
+    because ``ls`` holds every pattern for the whole call, and cheap because
+    the key is not a recursive hash.  A path whose parent path was rendered
+    before is its parent's text with one index appended.
     """
-    patterns: dict[Pattern, str] = {}
+    patterns: dict[int, str] = {}
     paths: dict[Path, str] = {(): "[]"}
 
     def region(r: Region) -> str:
-        pat = patterns.get(r.pattern)
+        pat = patterns.get(id(r.pattern))
         if pat is None:
-            pat = patterns[r.pattern] = render_pattern(r.pattern)
+            pat = patterns[id(r.pattern)] = render_pattern(r.pattern)
         p = r.path
         text = paths.get(p)
         if text is None:
@@ -411,43 +422,78 @@ def render_links(ls) -> str:
     )
 
 
-def _parse_region(cur: TokenCursor, paths: dict[str, Path], patterns: dict[tuple, Pattern]) -> Region:
-    """Read ``(<pattern> @ [path])`` from bare texts.  ``patterns`` maps the texts
-    up to each ``@`` read so far to their pattern, so no pattern is read twice."""
-    toks, end = cur.tokens, cur.end
-    if cur.pos == end or toks[cur.pos] != "(":
-        cur.expect("LPAR")  # raises
-    pos = cur.pos = cur.pos + 1
-    try:
-        at = toks.index("@", pos)
-    except ValueError:
-        at = pos
-    pat = patterns.get(key := tuple(toks[pos:at]))
-    if pat is None:
-        pat = patterns[key] = parse_term(cur, allow_vars=True)
-        if cur.pos != at:  # then the reading fails, and ``patterns`` goes with it
-            cur.expect("AT")
-    tok = toks[at + 1] if at + 1 < end else ""
-    path = _decode_path(tok[1:-1], paths) if tok[:1] == "[" and len(tok) > 1 else None
-    cur.pos = at + 1
-    if path is None:
-        parse_path_tokens(cur)  # raises, naming where
-    if at + 2 == end or toks[at + 2] != ")":
-        cur.pos = at + 2
-        cur.expect("RPAR")  # raises
-    cur.pos = at + 3
+def _parse_region(cur: TokenCursor) -> Region:
+    """Read ``(<pattern> @ [path])``."""
+    cur.expect("LPAR")
+    pat = parse_term(cur, allow_vars=True)
+    cur.expect("AT")
+    path = parse_path_tokens(cur)
+    cur.expect("RPAR")
     return Region(pat, path)
 
 
-def parse_links(text: str) -> frozenset:
-    """Parse a link file; blank lines and ``--`` comments are ignored."""
-    out = set()
+# The line breaks of ``str.splitlines``, none of which a line of the writer's holds.
+_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+# A pattern as ``render_pattern`` writes it: no ``@`` and no ``--`` outside a string, whose
+# only escapes are ``\"`` and ``\\``.  It is spelled plain* (special plain*)*, whose parts
+# start with different characters, so a line that fails to match backtracks only linearly.
+_PLAIN = rf'[^"@{_BREAKS}-]*'
+_STRING = rf'"[^"\\{_BREAKS}]*(?:\\["\\][^"\\{_BREAKS}]*)*"'
+_REGION = rf"\(({_PLAIN}(?:(?:-(?!-)|{_STRING}){_PLAIN})*) @ \[([-\d,]*)\]\)"
+# One link line as ``render_links`` writes it: (pattern, path body) of its source and view.
+_LINK_LINE_RE = re.compile(rf"^{_REGION} <-> {_REGION}$", re.MULTILINE)
+
+
+def _read_rendered_links(text: str) -> frozenset | None:
+    """The links of ``text`` if every line of it is as ``render_links`` writes it, else None.
+
+    One ``findall`` reads the whole file.  A pattern of such a line holds no
+    ``@`` and no comment, and its tokens are the line's tokens between ``(``
+    and ``@``.  So the distinct patterns are read as one line, ``@`` between
+    them, each once, and to what the line reader reads.  A path body is
+    decoded from its parent's.  Anything that does not read returns None, for
+    the line reader to read again and report.
+    """
+    if not text.endswith("\n"):
+        return None
+    lines = _LINK_LINE_RE.findall(text)
+    if len(lines) != text.count("\n"):
+        return None
+    patterns = dict.fromkeys(map(itemgetter(0), lines)) | dict.fromkeys(map(itemgetter(2), lines))
+    joined = " @ ".join(patterns)
+    cur = TokenCursor(_findall(joined), 1, joined)
+    toks, end = cur.tokens, cur.end
+    try:
+        for pat in patterns:
+            patterns[pat] = parse_term(cur, allow_vars=True)
+            if cur.pos < end and toks[cur.pos] != "@":
+                return None
+            cur.pos += 1
+    except LensSyntaxError:
+        return None
     paths: dict[str, Path] = {}
-    patterns: dict[tuple, Pattern] = {}
+    for body in dict.fromkeys(map(itemgetter(1), lines)) | dict.fromkeys(map(itemgetter(3), lines)):
+        if _decode_path(body, paths) is None:
+            return None
+    return frozenset(
+        Link(Region(patterns[sp], paths[sb]), Region(patterns[vp], paths[vb])) for sp, sb, vp, vb in lines
+    )
+
+
+def parse_links(text: str) -> frozenset:
+    """Parse a link file; blank lines and ``--`` comments are ignored.
+
+    A file as ``render_links`` writes it is read by ``_read_rendered_links``;
+    any other, and every error, by the line reader below.
+    """
+    fast = _read_rendered_links(text)
+    if fast is not None:
+        return fast
+    out = set()
     for cur in token_lines(text):
-        src = _parse_region(cur, paths, patterns)
+        src = _parse_region(cur)
         cur.expect("ARROW")
-        view = _parse_region(cur, paths, patterns)
+        view = _parse_region(cur)
         cur.require_end()
         out.add(Link(src, view))
     return frozenset(out)

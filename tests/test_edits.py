@@ -386,6 +386,22 @@ def test_script_paths_accept_spacing():
     assert ops == [Swap((0, 1), (1,)), Delete((), 0)]
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("   frob [0]\n", "1:4: unknown edit operation 'frob'"),
+        ("swap [0] [1]\n\tfrob [0]\n", "2:2: unknown edit operation 'frob'"),
+        ("  frob [0] #\n", "1:12: unexpected character '#'"),  # a stray character is reported first
+    ],
+)
+def test_unknown_operation_names_its_own_column(text, message):
+    from treelens.text import LensSyntaxError
+
+    with pytest.raises(LensSyntaxError) as e:
+        parse_script(text)
+    assert str(e.value) == message
+
+
 # ---------------------------------------------------------------------------
 # insert/delete against the n-move expansion they replace
 

@@ -176,6 +176,18 @@ S <---> V
     assert "E-var-relation" in {d.code for d in e.value.diagnostics}
 
 
+@pytest.mark.parametrize("source", ["Int", "String"])
+def test_primitive_source_relation_rejected(source, arith):
+    # A primitive source is read by identity, so rules from it would never run.
+    text = f"data Foo = F | G\n\n{source} <---> Foo\n  _ ~ F\n"
+    with pytest.raises(ValidationError) as e:
+        validate_program(parse_program(text))
+    assert [(d.line, d.code) for d in e.value.diagnostics] == [(3, "E-primitive-source")]
+    assert f"relation {source} <---> Foo has a primitive source type" in str(e.value)
+    h = lens(arith, "Int", "Int")  # the built-in identity stays
+    assert h.get(parse_tree("5")) == (parse_tree("5"), frozenset())
+
+
 def test_view_coverage_is_warning(arith):
     vp = load_program(example_text("rosetree.lens"))
     assert any(w.code == "W-view-coverage" for w in vp.warnings)

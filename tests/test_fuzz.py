@@ -5,8 +5,12 @@ The ``arith`` and ``addrbook`` cases start from their shipped files.  The
 from its shipped source tree, whose methods hold a ``while`` loop, a ``for``
 loop and an assignment, and from an edit script that ``gen_script`` draws
 under the fixed seed.  The ``chain`` case (``Expr -> Arith -> NArith`` of
-``compose_chain.lens``) draws its source tree with ``gen_tree`` too.  These
-two take fewer mutants per file.
+``compose_chain.lens``) draws its source tree with ``gen_tree`` too, as does
+one case for each other shipped program: ``mirror``, ``natbool``,
+``rosetree``, ``brac_paren`` and ``sugar_chain``.  These cases take fewer
+mutants per file.  A link file get wrote is read in one pass, and a mutant of
+it by whichever reader takes it, so the link mutants drive both link readers
+on every program.
 
 Each case mutates one file of a get -> edit -> put round: the source tree,
 the view tree, the link file get wrote, the edit script, or the program.  A
@@ -45,6 +49,11 @@ CASES = {
     "addrbook": ("addrbook.lens", ["-r", "AddrBook", "SocialBook"], "addrbook.tree", "addrbook_update.edits", 40),
     "sugarlang": ("sugarlang.lens", ["-r", "SProg", "AProg"], "sugarlang.tree", None, 14),
     "chain": ("compose_chain.lens", ["-r", "Expr", "Arith", "-r", "Arith", "NArith"], None, None, 14),
+    "mirror": ("mirror.lens", ["-r", "BinT Int", "BinT Int"], None, None, 14),
+    "natbool": ("natbool.lens", ["-r", "BinT Nat", "BinT Bool"], None, None, 14),
+    "rosetree": ("rosetree.lens", ["-r", "RTree Int", "List Int"], None, None, 14),
+    "brac_paren": ("brac_paren.lens", ["-r", "Term", "Arith"], None, None, 14),
+    "sugar_chain": ("sugar_chain.lens", ["-r", "P", "V"], None, None, 14),
 }
 GEN_SIZE = 40
 GEN_SCRIPT_LEN = 3

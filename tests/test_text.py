@@ -286,12 +286,12 @@ def test_tokens_match_the_recursive_readers_tokens(line):
     assert _outcome(fields, line) == _outcome(reference, line)
 
 
-def _mutants(text: str, count: int, seed: int):
+def _mutants(text: str, count: int, seed: int, alphabet: str = _ALPHABET):
     """``count`` single-character inserts, deletes and replacements of ``text``."""
     rng = random.Random(seed)
     for _ in range(count):
         i = rng.randrange(len(text) + 1)
-        c = rng.choice(_ALPHABET)
+        c = rng.choice(alphabet)
         op = rng.randrange(3)
         if op == 0 or i == len(text):
             yield text[:i] + c + text[i:]
@@ -313,6 +313,128 @@ def test_link_files_parse_as_the_recursive_reader_does(arith, arith_expr):
     for k, text in enumerate(_link_corpus(arith, arith_expr)):
         for mutant in _mutants(text, 600, k):
             assert _outcome(parse_links, mutant) == _outcome(rr.parse_links, mutant), mutant
+
+
+# Text that ``render_links`` writes, built to trip a whole-file reader: strings
+# holding the link syntax, comment markers and escapes, negative integers,
+# variables and wildcards, negative path indices, and a path 2,000 deep.
+_NASTY_STRINGS = ["@", " @ [0]) <-> (", "--", '\\"', "\\\\", '"', "a -- b", ") <-> (P @ [1])", "", '\\" @ [0', "x\\"]
+_DEEP = (1,) * 1999 + (0,)
+
+
+def _nasty_patterns():
+    return [Node("S", (StrLeaf(v),)) for v in _NASTY_STRINGS] + [
+        parse_pattern('Neg -5 (Lit x _) -12 "@ --"'),
+        parse_pattern("Pair (Pair a _) (-3)"),
+        IntLeaf(-7),
+        StrLeaf(" @ [] -- "),
+        WILDCARD,
+        Var("v"),
+        Node("Tip"),
+    ]
+
+
+def _nasty_link_files():
+    pats = _nasty_patterns()
+    ls = set()
+    for i, p in enumerate(pats):
+        ls.add(Link(Region(p, (i,)), Region(pats[-1 - i], (0, i))))
+        ls.add(Link(Region(p, (i, 1)), Region(p, ())))
+    ls.add(Link(Region(pats[0], (-1, 2)), Region(WILDCARD, (3, -4))))
+    deep = {Link(Region(pats[k], _DEEP[:k] + _DEEP[-1:]), Region(pats[-1 - k], _DEEP[: 1000 + k])) for k in range(4)}
+    deep.add(Link(Region(pats[1], _DEEP), Region(pats[2], _DEEP)))
+    return [render_links(frozenset(ls)), render_links(frozenset(deep))]
+
+
+# Mutants may also break a line in any of the ways ``str.splitlines`` does.
+_BREAKING_ALPHABET = _ALPHABET + "\t\r\n\x0b\x0c\x1c\x85\u2028"
+
+
+def test_adversarial_link_files_parse_as_the_recursive_reader_does():
+    for k, (text, count) in enumerate(zip(_nasty_link_files(), (300, 40))):
+        assert parse_links(text) == rr.parse_links(text)
+        assert render_links(parse_links(text)) == text
+        for mutant in [*_mutants(text, count, k), *_mutants(text, count, k, _BREAKING_ALPHABET)]:
+            assert _outcome(parse_links, mutant) == _outcome(rr.parse_links, mutant), mutant
+
+
+def test_link_lines_with_one_character_inserted_parse_as_the_recursive_reader_does():
+    # Each character that could make a whole-line reader split a line in the
+    # wrong place, inserted at every place of every line of the first file.
+    for line in _nasty_link_files()[0].splitlines(keepends=True):
+        for i in range(len(line)):
+            for c in '-@"\\\r ':
+                mutant = line[:i] + c + line[i:]
+                assert _outcome(parse_links, mutant) == _outcome(rr.parse_links, mutant), mutant
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 17), st.lists(st.integers(-2, 3), max_size=4)), min_size=1, max_size=12))
+def test_random_nasty_link_sets_roundtrip(regions):
+    pats = _nasty_patterns()
+    ls = frozenset(
+        Link(Region(pats[a % len(pats)], tuple(p)), Region(pats[-1 - a % len(pats)], tuple(p[::-1])))
+        for a, p in regions
+    )
+    text = render_links(ls)
+    assert parse_links(text) == ls == rr.parse_links(text)
+    assert render_links(parse_links(text)) == text
+
+
+def test_writer_output_never_reaches_the_line_reader(monkeypatch, arith, arith_expr):
+    # Every link file that ``render_links`` writes is read in one pass over the
+    # file, without the per-line region reader.
+    from test_programs import RELATIONS
+    from treelens import gen_tree, lens, load_program, text
+
+    texts = _nasty_link_files() + _link_corpus(arith, arith_expr)[:3]
+    for name, sty, vty in RELATIONS:
+        vp = load_program(example_text(name), name)
+        h = lens(vp, sty, vty)
+        texts += [render_links(h.get(gen_tree(vp.schema, h.source_type, 30, seed))[1]) for seed in range(3)]
+
+    def refuse(*args):
+        raise AssertionError("the line reader ran")
+
+    monkeypatch.setattr(text, "_parse_region", refuse)
+    for t in texts:
+        assert render_links(parse_links(t)) == t
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: "-- a comment\n" + t,
+        lambda t: t.replace("\n", "\n\n", 1),
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace(" <-> ", "  <-> ", 1),
+        lambda t: t.replace(" @ ", "\t@ ", 1),
+        lambda t: t.replace("\n", "  -- tail\n", 1),
+        lambda t: t.replace("@ [0]", "@ [ 0 ]", 1),
+        lambda t: t[:-1],
+    ],
+    ids=["comment", "blank", "crlf", "double-space", "tab", "tail-comment", "path-spacing", "no-newline"],
+)
+def test_other_link_files_are_read_line_by_line(edit, arith, arith_expr):
+    # The same links in a form the writer never produces: the line reader
+    # reads them, to the same set.
+    from treelens.text import _read_rendered_links
+
+    text = _link_corpus(arith, arith_expr)[0]
+    other = edit(text)
+    assert other != text
+    assert _read_rendered_links(other) is None
+    assert parse_links(other) == parse_links(text) == rr.parse_links(other)
+
+
+def test_a_last_line_without_a_newline_is_read(arith, arith_expr):
+    # Every other line is as the writer writes it, so a count of the lines
+    # that match could not tell this file from one the writer wrote.
+    from treelens.text import _read_rendered_links
+
+    text = _link_corpus(arith, arith_expr)[0] + "(P @ [0]) <-> (Q @ [9])  -- no newline"
+    assert _read_rendered_links(text) is None
+    assert parse_links(text) == rr.parse_links(text) == parse_links(text + "\n")
 
 
 def test_tree_files_parse_as_the_recursive_reader_does():
