@@ -6,7 +6,10 @@ of its relations, folded left: ``-r A B -r B C -r C D`` runs
 ``CompositeLens(CompositeLens(A<--->B, B<--->C), C<--->D)``.
 Exit codes: 0 success, 1 usage/parse error (and failed law runs, and inputs
 nested too deeply to process), 2 validation failure, 3 rejected links, 4 type
-error.  Diagnostics go to standard error as ``file:line:col: code: message``.
+error.  Each failure gets its exit code and the prefix of its one-line
+message from one table, ``_FAILURES``; a failed edit step whose cause is a
+type error is a type error.  Diagnostics go to standard error as
+``file:line:col: code: message``.
 """
 
 from __future__ import annotations
@@ -203,44 +206,31 @@ _COMMANDS = {
 }
 
 
+# Each failure's exit code and the prefix of its message, the first row that matches.
+_FAILURES = (
+    ((_Usage,), 1, "usage error: "),
+    ((LensSyntaxError, _FileError), 1, ""),
+    ((ValidationError,), 2, ""),
+    ((UnknownRelation,), 2, "unknown relation: "),
+    ((CompositionTypeError,), 2, "relations do not chain: "),
+    ((InvalidLinks,), 3, "links rejected: "),
+    ((IllTypedInput, IllTyped), 4, "type error: "),
+    ((EditScriptError,), 1, "edit error: "),
+    ((EditError, TreeError), 1, "error: "),
+)
+_FAILURE_TYPES = tuple(t for types, _, _ in _FAILURES for t in types)
+
+
 def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _Usage as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    except LensSyntaxError as e:
-        print(f"{e}", file=sys.stderr)
-        return 1
-    except _FileError as e:
-        print(e, file=sys.stderr)
-        return 1
-    except ValidationError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    except UnknownRelation as e:
-        print(f"unknown relation: {e}", file=sys.stderr)
-        return 2
-    except CompositionTypeError as e:
-        print(f"relations do not chain: {e}", file=sys.stderr)
-        return 2
-    except InvalidLinks as e:
-        print(f"links rejected: {e}", file=sys.stderr)
-        return 3
-    except (IllTypedInput, IllTyped) as e:
-        print(f"type error: {e}", file=sys.stderr)
-        return 4
-    except EditScriptError as e:
-        if isinstance(e.cause, IllTypedInput):
-            print(f"type error: {e}", file=sys.stderr)
-            return 4
-        print(f"edit error: {e}", file=sys.stderr)
-        return 1
-    except (EditError, TreeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except _FAILURE_TYPES as e:
+        key = e.cause if isinstance(e, EditScriptError) and isinstance(e.cause, IllTypedInput) else e
+        code, prefix = next((code, prefix) for types, code, prefix in _FAILURES if isinstance(key, types))
+        print(f"{prefix}{e}", file=sys.stderr)
+        return code
     except RecursionError:
         print(
             f"error: input nests too deeply (deeper than the recursion limit of "

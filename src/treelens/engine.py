@@ -11,8 +11,8 @@ by construction.
 ``LensHandle`` is the lens of one declared relation, looked up once, when
 the handle is built; a primitive source is read by identity.  Its recursion
 mirrors the rule structure: at each view node either no input link ends
-here (rebuild case: pick the first matching rule, preferring one whose view
-pattern is not a bare variable) or some link does (retain case: pick the
+here (rebuild case: pick the first rule, in the relation's rebuild order,
+whose view pattern matches) or some link does (retain case: pick the
 link with the shortest source path, find the unique rule able to generate
 its regions — the current relation first, then the other relations sharing
 the view type — keep the region's content and recurse into the holes).
@@ -25,7 +25,8 @@ closures match, bind, build regions and rebuild trees, and whose variables
 already hold the relation they recurse into.  A conversion chain is a tuple
 of single-variable rules, each applied by its own ``build_source``.  The
 rules that can generate a link are looked up by (view type, view region) in
-one per-program table.
+one per-program table, and each relation's rebuild order, its rules whose
+view is not a bare variable and then those whose view is, is fixed at load.
 
 put and check are one traversal (``_sync``).  The input links are indexed
 once as a trie over view paths; each step hands the rule's variables their
@@ -85,18 +86,6 @@ class InvalidLinks(EngineError):
     def __init__(self, failure: CheckFailure):
         super().__init__(str(failure))
         self.failure = failure
-
-
-def _select_rebuild_rule(rel: Relation, v: Tree) -> Rule | None:
-    """First rule whose view pattern matches ``v``, preferring non-bare ones."""
-    first_bare: Rule | None = None
-    for rule in rel.rules:
-        if rule.match_view(v):
-            if not rule.bare_view:
-                return rule
-            if first_bare is None:
-                first_bare = rule
-    return first_bare
 
 
 def _generating_rules(
@@ -290,8 +279,10 @@ def _sync(
         return v
     sty, vty = rel.source_type, rel.view_type
     if node is None or skip >= len(node.here):
-        rule = _select_rebuild_rule(rel, v)
-        if rule is None:
+        for rule in rel.rebuild:
+            if rule.match_view(v):
+                break
+        else:
             return _fail("E-no-rule", f"no view pattern of {sty} <---> {vty} matches here", at)
         if rule.bare_view:
             # Bounded rounds: consecutive bare-variable selections consume no

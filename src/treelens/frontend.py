@@ -19,7 +19,10 @@ and linear variable sets, a declared relation (or primitive identity) for
 every variable's type pair, and conversion chains between interchangeable
 source types.  Every check on a rule's variables and wildcards reads the
 hole maps of one typing walk per side, and the same maps build the rule's
-one record, a frozen ``plan.Rule`` compiled against the program's relations.
+one record, a frozen ``plan.Rule`` compiled against the program's relations;
+a variable's relation is looked up there, once.  A relation keeps its rules
+in program order and in put's rebuild order, those with a bare-variable view
+last.
 A program that validates has its rules indexed by the view region they
 generate, and a conversion chain is a tuple of its single-variable rules, so
 the engine never re-walks a rule's patterns.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .plan import Rule, Variable, at, compile_rule
 from .schema import (
@@ -90,13 +94,14 @@ class Program:
 
 @dataclass
 class Diagnostic:
+    """A validation finding about a whole line, so its column is always 1."""
+
     line: int
-    col: int
     code: str
     message: str
 
     def format(self, filename: str) -> str:
-        return f"{filename}:{self.line}:{self.col}: {self.code}: {self.message}"
+        return f"{filename}:{self.line}:1: {self.code}: {self.message}"
 
 
 class ValidationError(Exception):
@@ -358,7 +363,8 @@ class Relation:
     source_type: str
     view_type: str
     line: int
-    rules: tuple[Rule, ...] = ()
+    rules: tuple[Rule, ...] = ()  # in program order
+    rebuild: tuple[Rule, ...] = ()  # put's order: rules with a non-bare view first
 
 
 @dataclass
@@ -449,7 +455,7 @@ def _compile_rule(
             check_tree_type(sch, ty, pat, holes)
             sides.append([(sel(pat, h), h, hty) for h, hty in holes.items()])
     except IllTyped as e:
-        diags.append(Diagnostic(raw.line, 1, "E-ill-typed", str(e)))
+        diags.append(Diagnostic(raw.line, "E-ill-typed", str(e)))
         return None
     src, view = sides
 
@@ -458,20 +464,16 @@ def _compile_rule(
         names = [x.name for x, _, _ in holes if isinstance(x, Var)]
         dup = sorted({n for n in names if names.count(n) > 1})
         if dup:
-            diags.append(
-                Diagnostic(raw.line, 1, "E-nonlinear", f"{side} pattern repeats {', '.join(dup)}")
-            )
+            diags.append(Diagnostic(raw.line, "E-nonlinear", f"{side} pattern repeats {', '.join(dup)}"))
             ok = False
     if isinstance(raw.source, Var):
         diags.append(
-            Diagnostic(raw.line, 1, "E-bare-source", "a bare variable is not allowed on the source side")
+            Diagnostic(raw.line, "E-bare-source", "a bare variable is not allowed on the source side")
         )
         ok = False
 
     if any(isinstance(x, Wildcard) for x, _, _ in view):
-        diags.append(
-            Diagnostic(raw.line, 1, "E-view-wildcard", "wildcards are not allowed on the view side")
-        )
+        diags.append(Diagnostic(raw.line, "E-view-wildcard", "wildcards are not allowed on the view side"))
         ok = False
     svars = {x.name: (h, ty) for x, h, ty in src if isinstance(x, Var)}
     vvars = {x.name: (h, ty) for x, h, ty in view if isinstance(x, Var)}
@@ -479,7 +481,6 @@ def _compile_rule(
         diags.append(
             Diagnostic(
                 raw.line,
-                1,
                 "E-var-mismatch",
                 f"source and view sides must use the same variables "
                 f"(source {sorted(svars)}, view {sorted(vvars)})",
@@ -492,9 +493,7 @@ def _compile_rule(
     try:
         defaults = {h: default_value(sch, ty) for x, h, ty in src if isinstance(x, Wildcard)}
     except NoFiniteDefault as e:
-        diags.append(
-            Diagnostic(raw.line, 1, "E-no-default", f"no finite default value for type {e}")
-        )
+        diags.append(Diagnostic(raw.line, "E-no-default", f"no finite default value for type {e}"))
         return None
     variables = []
     for x, (spath, sty) in svars.items():
@@ -519,7 +518,7 @@ def reachable_types(sch: Schema, ty: str) -> frozenset:
     return frozenset(seen)
 
 
-def _interchangeable(sch: Schema, pairs: list[tuple[str, str]]) -> set[tuple[str, str, str]]:
+def _interchangeable(sch: Schema, pairs: dict[tuple[str, str], Relation]) -> set[tuple[str, str, str]]:
     """Triples (S1, S2, V') of source types that one source may hold side by side.
 
     S1 and S2 both relate to V', and some relation S <---> V has S1 and S2
@@ -588,7 +587,6 @@ def validate_program(program: Program) -> ValidatedProgram:
                     diags.append(
                         Diagnostic(
                             decl.line,
-                            1,
                             "E-ctor-reuse",
                             f"constructor {cname} already declared by {owner[cname]}",
                         )
@@ -596,50 +594,40 @@ def validate_program(program: Program) -> ValidatedProgram:
                 else:
                     owner[cname] = decl.name
 
-    pair_list = [(r.source_type, r.view_type) for r in program.relations]
-    pair_set = set()
+    # Relations exist before their rules, whose variables refer to them.
+    relations: list[Relation] = []
+    by_pair: dict[tuple[str, str], Relation] = {}
     for r in program.relations:
         key = (r.source_type, r.view_type)
-        if key in pair_set:
+        if key in by_pair:
             diags.append(
-                Diagnostic(r.line, 1, "E-duplicate-relation", f"relation {key[0]} <---> {key[1]} declared twice")
+                Diagnostic(r.line, "E-duplicate-relation", f"relation {key[0]} <---> {key[1]} declared twice")
             )
         if key[0] in PRIMITIVES:
             diags.append(
                 Diagnostic(
                     r.line,
-                    1,
                     "E-primitive-source",
                     f"relation {key[0]} <---> {key[1]} has a primitive source type; "
                     f"a primitive is related only to itself, by identity",
                 )
             )
-        pair_set.add(key)
-
-    # Relations exist before their rules, whose variables refer to them.
-    relations = [Relation(r.source_type, r.view_type, r.line) for r in program.relations]
-    by_pair = {(r.source_type, r.view_type): r for r in relations}
+        relations.append(Relation(*key, r.line))
+        by_pair[key] = relations[-1]
     for relation, rel in zip(relations, program.relations):
         compiled = [_compile_rule(sch, rel, raw, i, by_pair, diags) for i, raw in enumerate(rel.rules)]
         relation.rules = tuple(r for r in compiled if r is not None)
+        relation.rebuild = tuple(sorted(relation.rules, key=attrgetter("bare_view")))  # stable
 
     for rel, raw_rel in zip(relations, program.relations):
         # Every variable's type pair needs an identity (primitives) or a relation.
         for rule in rel.rules:
             for x in rule.variables:
                 ts, tv = x.source_type, x.view_type
-                if (ts, tv) in pair_set:
-                    continue
-                if ts == tv and ts in PRIMITIVES:
-                    continue  # built-in identity lens
-                diags.append(
-                    Diagnostic(
-                        rule.line,
-                        1,
-                        "E-var-relation",
-                        f"variable {x.name} needs a relation {ts} <---> {tv}",
-                    )
-                )
+                if x.relation is not None or ts == tv and ts in PRIMITIVES:
+                    continue  # a primitive is related by the built-in identity lens
+                need = f"variable {x.name} needs a relation {ts} <---> {tv}"
+                diags.append(Diagnostic(rule.line, "E-var-relation", need))
         # (ii) pairwise source disjointness.
         for i, a in enumerate(rel.rules):
             for b in rel.rules[i + 1 :]:
@@ -647,7 +635,6 @@ def validate_program(program: Program) -> ValidatedProgram:
                     diags.append(
                         Diagnostic(
                             b.line,
-                            1,
                             "E-overlap",
                             f"source patterns of rules {a.index + 1} and {b.index + 1} overlap",
                         )
@@ -655,19 +642,12 @@ def validate_program(program: Program) -> ValidatedProgram:
         # (i) coverage, both sides.
         if len(rel.rules) == len(raw_rel.rules):
             if not covers_type(sch, rel.source_type, [r.source for r in rel.rules]):
-                diags.append(
-                    Diagnostic(
-                        raw_rel.line,
-                        1,
-                        "E-source-coverage",
-                        f"source patterns do not cover {rel.source_type}",
-                    )
-                )
+                gap = f"source patterns do not cover {rel.source_type}"
+                diags.append(Diagnostic(raw_rel.line, "E-source-coverage", gap))
             if not covers_type(sch, rel.view_type, [r.view for r in rel.rules]):
                 warnings.append(
                     Diagnostic(
                         raw_rel.line,
-                        1,
                         "W-view-coverage",
                         f"view patterns do not cover {rel.view_type}; "
                         f"writing back such views will be rejected",
@@ -675,7 +655,7 @@ def validate_program(program: Program) -> ValidatedProgram:
                 )
 
     inj_table: dict[tuple[str, str, str], tuple[Rule, ...]] = {}
-    for s1, s2, vty in sorted(_interchangeable(sch, pair_list)):
+    for s1, s2, vty in sorted(_interchangeable(sch, by_pair)):
         steps = _synthesize_steps(by_pair, s1, s2, vty)
         if steps is not None:
             inj_table[(s1, s2, vty)] = steps
@@ -686,7 +666,6 @@ def validate_program(program: Program) -> ValidatedProgram:
             diags.append(
                 Diagnostic(
                     rel.line if rel else 1,
-                    1,
                     "E-no-conversion",
                     f"interchangeable types {s1} and {s2} at view {vty} "
                     f"need a conversion from {s1} to {s2}",

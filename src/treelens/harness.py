@@ -302,9 +302,8 @@ def verify_laws(
     size_bound: int = 40,
     script_len: int = 5,
     seed: int = 0,
-    adversarial: bool = True,
 ) -> LawSummary:
-    """Run the three lens laws plus check soundness over seeded trials."""
+    """Run the three lens laws plus check soundness, corrupted links included, over seeded trials."""
     base = random.Random(seed)
     summary = LawSummary(
         relation=f"{lens.source_type} <---> {lens.view_type}",
@@ -336,10 +335,9 @@ def verify_laws(
             if not all(verdicts.values()):
                 report.counterexample = _minimized(lens, s, v, ls, ops, ctx)
 
-        if adversarial:
-            bad = corrupt_links(ls, trial_seed + 2)
-            rejected = not lens.check(s, v, bad)
-            report.verdicts["adversarial"] = _put_or_none(lens, s, v, bad) is None and rejected
+        bad = corrupt_links(ls, trial_seed + 2)
+        rejected = not lens.check(s, v, bad)
+        report.verdicts["adversarial"] = _put_or_none(lens, s, v, bad) is None and rejected
 
         for law, ok in report.verdicts.items():
             summary.record(law, ok)

@@ -18,10 +18,11 @@ character a token, so only blanks lie between texts.  ``token_lines`` is the
 one loop over a file's lines, and every reader, of tree, link, program and
 script files alike, reads a line's bare texts through a ``TokenCursor`` (a
 link file as the writer wrote it is read in one pass, below); a token's kind
-comes from its first character.  Positions are found only for
-an error, by ``tokenize`` reading the line again: it reports the line's
-first stray character ahead of any other error, and splits a path token that
-does not decode, so that the error points inside it.
+comes from its first character.  A PATH token is exactly a path that
+decodes; a malformed one lexes as its pieces, so an error points inside it.
+Positions are found only for an error, by ``tokenize`` reading the line
+again, to the same texts: it reports the line's first stray character ahead
+of any other error.
 
 Link files have two readers.  A file as ``render_links`` writes it, every
 line ``(<pattern> @ [i,j,...]) <-> (<pattern> @ [i,j,...])`` with single
@@ -72,15 +73,19 @@ class LensSyntaxError(Exception):
         return f"{self.line}:{self.col}: {self.message}"
 
 
+# A path index as ``int`` reads it: signed decimal digits, with blanks around them but
+# not ``\x1c``-``\x1f``, which ``int`` does not strip (``str.strip`` does).
+_INDEX = r"[^\S\x1c-\x1f]*-?\d+[^\S\x1c-\x1f]*"
 # One token per match; ``findall`` skips the blanks between them.  Of two alternatives
 # that can start alike the longer comes first (``--`` before INT, PATH before ``\S``).
+# A PATH is exactly a path that decodes; a malformed one lexes as its pieces.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       [()_@\],=|~]            # one-character tokens
     | [A-Za-z][A-Za-z0-9']*   # UIDENT, LIDENT
     | "(?:\\.|[^"\\])*"       # STR
-    | \[[0-9,]*\]            # PATH, which may still be malformed: its
-    | \[[-\d,\s]*\]          #   usual form first, as that is faster
+    | \[(?:[0-9]+(?:,[0-9]+)*)?\]           # PATH, its usual form first, as that is faster,
+    | \[(?:\s*|{_INDEX}(?:,{_INDEX})*)\]    #   then a blank body or any other that decodes
     | <--->
     | <->
     | --                      # a comment to the line's end
@@ -137,25 +142,16 @@ def _decode_path(body: str, paths: dict[str, Path]) -> Path | None:
 def tokenize(text: str, line: int = 1) -> tuple[list[str], list[tuple[int, int]]]:
     """The token texts of one line and their (line, column)s; a stray character is an error.
 
-    Each text is found after the one before it.  A path token that does not
-    decode becomes ``[``, and the line is read on from just inside it.
+    Each text is found after the one before it, as only blanks lie between them.
     """
-    out: list[str] = []
-    where: list[tuple[int, int]] = []
-    paths: dict[str, Path] = {}
-    col, texts = 0, _texts(text)[::-1]  # texts are taken from the end
-    while texts:
-        t = texts.pop()
+    texts, where, col = _texts(text), [], 0
+    for t in texts:
         col = text.find(t, col)
-        kind = _kind(t)
-        if kind is None:
+        if _kind(t) is None:
             raise LensSyntaxError(f"unexpected character {t!r}", line, col + 1)
-        if kind == "PATH" and _decode_path(t[1:-1], paths) is None:
-            t, texts = "[", _texts(text[col + 1 :])[::-1]
-        out.append(t)
         where.append((line, col + 1))
         col += len(t)
-    return out, where
+    return texts, where
 
 
 def unescape_string(raw: str, line: int = 0, col: int = 0) -> str:
@@ -176,8 +172,8 @@ def escape_string(s: str) -> str:
 
 class TokenCursor:
     """Sequential reader over the token texts ``tokens[pos:end]`` of line ``line``, ``raw``, and
-    of the lines that continue it, ``more``.  Their positions are found only for an error, by
-    ``positioned``.  An error at ``end`` names the token there, or ``''``."""
+    of the lines that continue it, ``more``.  Their positions are found only for an error, from
+    the same texts, by ``positioned``.  An error at ``end`` names the token there, or ``''``."""
 
     where: list[tuple[int, int]] | None = None  # each token's (line, column), once positioned
     more: tuple[TokenCursor, ...] = ()
@@ -192,17 +188,12 @@ class TokenCursor:
         self.more += (other,)
 
     def positioned(self) -> list[tuple[int, int]]:
-        """The tokens' positions, from ``tokenize`` of the lines again: a stray character raises
-        here, and a path token that does not decode becomes its pieces.  The texts agree with
-        the bare ones up to that token, so ``pos``, and an ``end`` before it, still hold."""
+        """The tokens' positions, from ``tokenize`` of the lines again; a stray character raises here."""
         if self.where is None:
-            tokens, where = tokenize(self.raw, self.line)
+            where = tokenize(self.raw, self.line)[1]
             for cur in self.more:
                 where += cur.positioned()
-                tokens += cur.tokens
-            if self.end == len(self.tokens):
-                self.end = len(tokens)
-            self.tokens, self.where = tokens, where
+            self.where = where
         return self.where
 
     def error(self, message: str, i: int | None = None) -> LensSyntaxError:
@@ -360,14 +351,11 @@ def render_path(p: Path) -> str:
 
 
 def parse_path_tokens(cur: TokenCursor) -> Path:
-    if cur.kind(cur.pos) == "PATH":
-        path = _decode_path(cur.tokens[cur.pos][1:-1], {})
-        if path is not None:
-            cur.pos += 1
-            return path
-    # A path token that does not decode comes out of ``tokenize`` piece by
-    # piece: read the pieces, so that the error names the one at fault.
-    cur.positioned()
+    if cur.kind(cur.pos) == "PATH":  # a path that decodes
+        body = cur.tokens[cur.pos][1:-1]
+        cur.pos += 1
+        return tuple(map(int, body.split(","))) if body.strip() else ()
+    # A malformed path is its pieces: read them, so that the error names the one at fault.
     cur.expect("LBRACK")
     out: list[int] = []
     if cur.kind(cur.pos) == "INT":

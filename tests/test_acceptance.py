@@ -38,9 +38,7 @@ def _report(n: int, desc: str, ok: bool) -> None:
 
 def test_criterion_1_hippocraticness(arith_expr):
     start = time.perf_counter()
-    summary = verify_laws(
-        arith_expr, 1000, size_bound=40, script_len=0, seed=0, adversarial=False
-    )
+    summary = verify_laws(arith_expr, 1000, size_bound=40, script_len=0, seed=0)
     elapsed = time.perf_counter() - start
     ok = summary.counts["hippocratic"] == [1000, 1000] and elapsed < 10.0
     _report(
@@ -52,7 +50,7 @@ def test_criterion_1_hippocraticness(arith_expr):
 
 @pytest.fixture(scope="module")
 def edited_run(arith_expr):
-    return verify_laws(arith_expr, 1000, size_bound=40, script_len=5, seed=1, adversarial=True)
+    return verify_laws(arith_expr, 1000, size_bound=40, script_len=5, seed=1)
 
 
 def test_criterion_2_correct_retentive(edited_run):
@@ -158,7 +156,7 @@ def test_criterion_6_xml_scenario(addrbook):
 def test_criterion_7_composition(mirror):
     m = lens(mirror, "BinT Int", "BinT Int")
     cl = CompositeLens(m, m)
-    summary = verify_laws(cl, 300, size_bound=40, script_len=5, seed=2, adversarial=True)
+    summary = verify_laws(cl, 300, size_bound=40, script_len=5, seed=2)
     ok_laws = (
         summary.counts["hippocratic"] == [300, 300]
         and summary.counts["correct"] == [summary.accepted, summary.accepted]

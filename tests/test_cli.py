@@ -391,3 +391,36 @@ def test_rejected_link_is_the_same_under_every_hash_seed(tmp_path):
         "links rejected: E-overlapping-regions at view path []: second link ends inside "
         "this view region [(Succ _ @ [0]) <-> (True @ [0])]\n"
     }
+
+
+# One input per row of ``cli._FAILURES`` that no test above pins: its exit code
+# and the first line of its standard error, with the test's directory as ``D``.
+@pytest.mark.parametrize(
+    "argv,code,first_line",
+    [
+        (["edit", "-e", "D/oob.edits"], 1, "edit error: step 0: path [5] stops resolving at depth 0"),
+        (["get", "-p", "D/arith.lens", "-r", "Arith", "Expr", "-i", "D/v.tree"], 2, "unknown relation: Arith <---> Expr"),
+        (
+            ["edit", "-e", "D/typed.edits", "-p", "D/arith.lens", "-r", "Expr", "Arith"],
+            4,
+            "type error: step 1: replacement at [0]: at []: expected Arith, found Term",
+        ),
+        (["validate", "D/bad.lens"], 2, "D/bad.lens:6:1: E-source-coverage: source patterns do not cover Expr"),
+        (["validate", "D/syntax.lens"], 1, "3:10: unexpected character '$'"),
+    ],
+    ids=["edit-error", "unknown-relation", "typed-edit-step", "validation", "syntax"],
+)
+def test_failure_table_rows(tmp_path, capsys, argv, code, first_line):
+    prog = _arith(tmp_path)
+    view, links = tmp_path / "v.tree", tmp_path / "l.links"
+    assert run(["get", "-p", prog, "-r", "Expr", "Arith", "-i", str(EXAMPLES / "arith_cst.tree"),
+                "-o", str(view), "-l", str(links)]) == 0
+    (tmp_path / "oob.edits").write_text("swap [0] [5]\n")
+    (tmp_path / "typed.edits").write_text('swap [0] [1]\nreplace [0] (Lit "" 1)\n')
+    (tmp_path / "bad.lens").write_text(example_text("arith.lens").replace("  FromT _ t ~ t\n", ""))
+    (tmp_path / "syntax.lens").write_text("data X = A\nX <---> X\n  A ~ A  $\n")
+    if argv[0] == "edit":
+        argv = ["edit", "-v", str(view), "-l", str(links), "-o", "D/o.tree", "-m", "D/o.links", *argv[1:]]
+    capsys.readouterr()
+    assert run([a.replace("D/", f"{tmp_path}/") for a in argv]) == code
+    assert capsys.readouterr().err.replace(str(tmp_path), "D").splitlines()[0] == first_line

@@ -96,7 +96,7 @@ def test_failure_reporting_carries_minimized_counterexample(arith):
         def put(self, s, v, ls):
             return h.put(s, v, frozenset())
 
-    summary = verify_laws(Lying(), 25, size_bound=20, script_len=3, seed=2, adversarial=False)
+    summary = verify_laws(Lying(), 25, size_bound=20, script_len=3, seed=2)
     assert not summary.ok
     assert summary.failures
     assert summary.failures[0].counterexample is not None
@@ -127,7 +127,7 @@ def test_put_iff_check_counterexample_is_the_shortest_prefix(arith):
             return h.put(s, v, ls)
 
     lying = Lying()
-    summary = verify_laws(lying, 30, size_bound=25, script_len=4, seed=8, adversarial=False)
+    summary = verify_laws(lying, 30, size_bound=25, script_len=4, seed=8)
     assert summary.failures
     ctx = EditContext(arith.schema, "Arith")
     shortened = linked = 0

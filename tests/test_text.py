@@ -225,6 +225,46 @@ def test_malformed_path_in_link_file(line, message):
     assert str(e.value) == message.replace("1:", "2:", 1)
 
 
+def _reference_parse_path(text):
+    cur = rr.TokenCursor(rr.tokenize(text, 1), 1)
+    path = rr.parse_path_tokens(cur)
+    cur.require_end()
+    return path
+
+
+# Paths where ``\s``, ``str.strip`` and ``int`` disagree: a body is blank by
+# ``str.strip``, which strips \x1c-\x1f, but an index is read by ``int``,
+# which does not, and accepts any decimal digit and other blanks around it.
+@pytest.mark.parametrize(
+    "path,read",
+    [
+        ("[\x1f]", ()),
+        ("[\x1f1]", (1,)),  # not a PATH token: its pieces ``[ 1 ]`` read
+        ("[1,\x1f2]", (1, 2)),
+        ("[ 1 , 2 ]", (1, 2)),
+        ("[\u0663]", (3,)),
+        ("[\u20031]", (1,)),
+        ("[-0]", (0,)),
+        ("[1,--2]", "1:0: expected INT, found ''"),
+        ("[,]", "1:2: expected RBRACK, found ','"),
+        ("[1,]", "1:4: expected INT, found ']'"),
+    ],
+    ids=ascii,
+)
+def test_edge_paths_read_as_the_recursive_reader_reads_them(path, read, monkeypatch):
+    from treelens import edits, text
+
+    expected = ("ok", read) if isinstance(read, tuple) else ("error", read)
+    assert _outcome(parse_path, path) == _outcome(_reference_parse_path, path) == expected
+    line = f"x {path} y"
+    assert _outcome(_token_fields, line) == _outcome(_reference_token_fields, line)
+    script = f"swap {path} [0]\n"
+    assert _outcome(parse_script, script) == _with_recursive_reader(edits, parse_script, script)
+    links = f"(P @ {path}) <-> (Q @ [0])\n"
+    monkeypatch.setattr(text, "_read_rendered_links", lambda text: None)  # the line reader
+    assert _outcome(parse_links, links) == _outcome(rr.parse_links, links)
+
+
 # ---------------------------------------------------------------------------
 # The path cache and the iterative reader, against the recursive reader it
 # replaced (``recursive_reader``).
@@ -270,20 +310,22 @@ def _outcome(f, *args):
         return ("error", str(e))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.text(alphabet=_ALPHABET + "\t", max_size=40))
-def test_tokens_match_the_recursive_readers_tokens(line):
+def _token_fields(line):
     # A token is its text; its kind comes from ``_kind`` and a path's value
     # from ``_decode_path``, as the readers take them.
-    def fields(line):
-        texts, where = tokenize(line, 3)
-        value = lambda t: _decode_path(t[1:-1], {}) if _kind(t) == "PATH" else None  # noqa: E731
-        return [(_kind(t), t, *w, value(t)) for t, w in zip(texts, where)]
+    texts, where = tokenize(line, 3)
+    value = lambda t: _decode_path(t[1:-1], {}) if _kind(t) == "PATH" else None  # noqa: E731
+    return [(_kind(t), t, *w, value(t)) for t, w in zip(texts, where)]
 
-    def reference(line):
-        return [(t.kind, t.text, t.line, t.col, t.value) for t in rr.tokenize(line, 3)]
 
-    assert _outcome(fields, line) == _outcome(reference, line)
+def _reference_token_fields(line):
+    return [(t.kind, t.text, t.line, t.col, t.value) for t in rr.tokenize(line, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=_ALPHABET + "\t\x1c\x1f\u2003\u0663", max_size=40))
+def test_tokens_match_the_recursive_readers_tokens(line):
+    assert _outcome(_token_fields, line) == _outcome(_reference_token_fields, line)
 
 
 def _mutants(text: str, count: int, seed: int, alphabet: str = _ALPHABET):
