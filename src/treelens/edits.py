@@ -23,6 +23,7 @@ from .text import (
     parse_term,
     render_path,
     render_pattern,
+    to_int,
     token_lines,
 )
 from .trees import (
@@ -362,7 +363,7 @@ def _parse_paren_tree(cur: TokenCursor) -> Tree:
 
 # Script argument kinds: (parse, render).
 _PATH = (parse_path_tokens, render_path)
-_INT = (lambda cur: int(cur.expect("INT")), str)
+_INT = (lambda cur: to_int(cur, cur.expect("INT"), cur.pos - 1), str)
 _TREE = (_parse_paren_tree, lambda t: f"({render_pattern(t)})")
 
 # The script grammar: keyword -> (op class, argument kinds).  An op's fields are

@@ -17,12 +17,13 @@ failures are warnings; see ``W-view-coverage``), pairwise source-pattern
 disjointness, no bare-variable source patterns, no view-side wildcards, equal
 and linear variable sets, a declared relation (or primitive identity) for
 every variable's type pair, and conversion chains between interchangeable
-source types.  Every check on a rule's variables and wildcards reads the
-hole maps of one typing walk per side, and the same maps build the rule's
-one record, a frozen ``plan.Rule`` compiled against the program's relations;
-a variable's relation is looked up there, once.  A relation keeps its rules
-in program order and in put's rebuild order, those with a bare-variable view
-last.
+source types.  Coverage and disjointness come from one pattern-matrix walk
+per relation side, ``_walk_matrix``, which names a value no rule covers.
+Every check on a rule's variables and wildcards reads the hole maps of one
+typing walk per side, and the same maps build the rule's one record, a
+frozen ``plan.Rule`` compiled against the program's relations; a variable's
+relation is looked up there, once.  A relation keeps its rules in program
+order and in put's rebuild order, those with a bare-variable view last.
 A program that validates has its rules indexed by the view region they
 generate, and a conversion chain is a tuple of its single-variable rules, so
 the engine never re-walks a rule's patterns.
@@ -32,10 +33,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from operator import attrgetter
 
 from .plan import Rule, Variable, at, compile_rule
 from .schema import (
+    INT,
     Constructor,
     IllTyped,
     NoFiniteDefault,
@@ -45,7 +48,7 @@ from .schema import (
     default_value,
 )
 from .text import LensSyntaxError, TokenCursor, parse_term, read_all, render_pattern, token_lines
-from .trees import Node, Path, Pattern, Var, Wildcard, WILDCARD, sel
+from .trees import IntLeaf, Node, Path, Pattern, StrLeaf, Var, Wildcard, WILDCARD, sel
 
 _INSTANTIATION_DEPTH_LIMIT = 64
 
@@ -186,7 +189,7 @@ class _SchemaBuilder:
                 1,
             )
         ce = Node(name, tuple(self.canonical(a, env, line, depth + 1) for a in args))
-        self._instantiate(ce, decl, line, depth)
+        self._instantiate(ce, decl, depth)
         return ce
 
     def name(self, ce: Node) -> str:
@@ -198,7 +201,7 @@ class _SchemaBuilder:
             name = self.names[ce] = render_pattern(ce)
         return name
 
-    def _instantiate(self, ce: Node, decl: DataDecl, line: int, depth: int) -> None:
+    def _instantiate(self, ce: Node, decl: DataDecl, depth: int) -> None:
         name = self.name(ce)
         if name in self.schema.types:
             return
@@ -207,7 +210,7 @@ class _SchemaBuilder:
         ctors = tuple(
             Constructor(
                 alt.ctor,
-                tuple(self.name(self.canonical(a, env, line, depth + 1)) for a in alt.children),
+                tuple(self.name(self.canonical(a, env, decl.line, depth + 1)) for a in alt.children),
             )
             for alt in decl.ctors
         )
@@ -390,53 +393,55 @@ class ValidatedProgram:
         return self.by_pair.get((sty, vty))
 
 
-def _wildish(p: Pattern) -> bool:
-    return isinstance(p, (Wildcard, Var))
+def _walk_matrix(sch: Schema, rows: list, tys: tuple[str, ...], pairs: set | None) -> tuple | None:
+    """The first vector of ``tys`` that no row matches, or None if the rows cover ``tys``.
 
-
-def _covers(sch: Schema, rows: list[tuple[Pattern, ...]], tys: tuple[str, ...]) -> bool:
-    """True iff every value vector of ``tys`` matches some row (usefulness check)."""
-    if not rows:
-        return False
+    A row is (rule position, a pattern per column), and each pair of rows that
+    some vector matches goes to ``pairs``, unless it is None (Maranget,
+    "Warnings for pattern matching", JFP 2007).  Leading columns where every
+    row is a hole are dropped.  Else the rows split by head through a dict, and
+    hole rows join every group.  If the heads are all the type's constructors,
+    the witness is the first group's, in declaration order.  Else the groups
+    are walked for pairs only, and the witness is the hole rows', behind the
+    first constructor no row heads, or a fresh literal.  One frame per split.
+    """
+    k = 0  # the leading columns where every row is a hole
+    while k < len(tys) and all(isinstance(row[k], (Var, Wildcard)) for _, row in rows):
+        k += 1
+    rows, tys, lead = [(i, row[k:]) for i, row in rows] if k else rows, tys[k:], (WILDCARD,) * k
     if not tys:
-        return True
-    if any(all(_wildish(p) for p in row) for row in rows):
-        return True
-    t0 = tys[0]
-    if t0 in PRIMITIVES:
-        # Literals never exhaust a primitive; only wild rows survive.
-        sub = [row[1:] for row in rows if _wildish(row[0])]
-        return _covers(sch, sub, tys[1:])
-    for c in sch.types[t0]:
-        arity = len(c.arg_types)
-        sub = []
-        for row in rows:
-            h = row[0]
-            if isinstance(h, Node) and h.ctor == c.name and len(h.children) == arity:
-                sub.append(h.children + row[1:])
-            elif _wildish(h):
-                sub.append((WILDCARD,) * arity + row[1:])
-        subtys = c.arg_types + tys[1:]
-        if not _covers(sch, sub, subtys):
-            return False
-    return True
-
-
-def covers_type(sch: Schema, ty: str, patterns: list[Pattern]) -> bool:
-    return _covers(sch, [(p,) for p in patterns], (ty,))
-
-
-def patterns_overlap(p: Pattern, q: Pattern) -> bool:
-    """True iff some tree matches both patterns."""
-    if _wildish(p) or _wildish(q):
-        return True
-    if isinstance(p, Node) and isinstance(q, Node):
-        return (
-            p.ctor == q.ctor
-            and len(p.children) == len(q.children)
-            and all(patterns_overlap(a, b) for a, b in zip(p.children, q.children))
-        )
-    return p == q
+        if pairs is not None and len(rows) > 1:
+            pairs.update(combinations(sorted(i for i, _ in rows), 2))
+        return None if rows else lead
+    groups: dict = {}  # head -> its rows, the head's children in front
+    holes = []
+    for i, row in rows:
+        h = row[0]
+        if isinstance(h, (Var, Wildcard)):
+            holes.append((i, row[1:]))
+        else:
+            key, kids = ((h.ctor, len(h.children)), h.children) if isinstance(h, Node) else (h, ())
+            groups.setdefault(key, []).append((i, kids + row[1:]))
+    # Constructors by name and arity: a declaration may repeat a name (E-ctor-reuse).  A primitive has none.
+    alts = [((c.name, len(c.arg_types)), c.arg_types) for c in sch.types.get(tys[0], ())]
+    covered = bool(alts) and all(key in groups for key, _ in alts)
+    missing = witness = None
+    for key, args in alts or [(h, ()) for h in groups]:
+        n = len(args)
+        if covered or key in groups and pairs is not None:
+            sub = groups.get(key, []) + [(i, (WILDCARD,) * n + row) for i, row in holes]
+            w = _walk_matrix(sch, sub, args + tys[1:], pairs)
+            if covered and w is not None and witness is None:
+                witness = lead + (Node(key[0], w[:n]),) + w[n:]
+        elif missing is None and key not in groups:
+            missing = Node(key[0], (WILDCARD,) * n)
+    if covered:
+        return witness
+    if missing is None:  # a primitive, which no set of literals exhausts
+        values = [h.value for h in groups]
+        missing = IntLeaf(max(values) + 1) if tys[0] == INT else StrLeaf(max(values, key=len) + "x")
+    w = _walk_matrix(sch, holes, tys[1:], pairs)
+    return None if w is None else lead + (missing,) + w
 
 
 def _compile_rule(
@@ -628,31 +633,22 @@ def validate_program(program: Program) -> ValidatedProgram:
                     continue  # a primitive is related by the built-in identity lens
                 need = f"variable {x.name} needs a relation {ts} <---> {tv}"
                 diags.append(Diagnostic(rule.line, "E-var-relation", need))
-        # (ii) pairwise source disjointness.
-        for i, a in enumerate(rel.rules):
-            for b in rel.rules[i + 1 :]:
-                if patterns_overlap(a.source, b.source):
-                    diags.append(
-                        Diagnostic(
-                            b.line,
-                            "E-overlap",
-                            f"source patterns of rules {a.index + 1} and {b.index + 1} overlap",
-                        )
-                    )
-        # (i) coverage, both sides.
+        # (i) coverage and (ii) pairwise source disjointness: one matrix walk per side.
+        pairs: set[tuple[int, int]] = set()
+        gap = _walk_matrix(sch, [(k, (r.source,)) for k, r in enumerate(rel.rules)], (rel.source_type,), pairs)
+        for i, j in sorted(pairs):
+            a, b = rel.rules[i], rel.rules[j]
+            overlap = f"source patterns of rules {a.index + 1} and {b.index + 1} overlap"
+            diags.append(Diagnostic(b.line, "E-overlap", overlap))
         if len(rel.rules) == len(raw_rel.rules):
-            if not covers_type(sch, rel.source_type, [r.source for r in rel.rules]):
-                gap = f"source patterns do not cover {rel.source_type}"
-                diags.append(Diagnostic(raw_rel.line, "E-source-coverage", gap))
-            if not covers_type(sch, rel.view_type, [r.view for r in rel.rules]):
-                warnings.append(
-                    Diagnostic(
-                        raw_rel.line,
-                        "W-view-coverage",
-                        f"view patterns do not cover {rel.view_type}; "
-                        f"writing back such views will be rejected",
-                    )
-                )
+            if gap is not None:
+                gap_text = f"source patterns do not cover {rel.source_type}, e.g. {render_pattern(gap[0])}"
+                diags.append(Diagnostic(raw_rel.line, "E-source-coverage", gap_text))
+            gap = _walk_matrix(sch, [(k, (r.view,)) for k, r in enumerate(rel.rules)], (rel.view_type,), None)
+            if gap is not None:
+                why = "writing back such views will be rejected"
+                gap_text = f"view patterns do not cover {rel.view_type}; {why}, e.g. {render_pattern(gap[0])}"
+                warnings.append(Diagnostic(raw_rel.line, "W-view-coverage", gap_text))
 
     inj_table: dict[tuple[str, str, str], tuple[Rule, ...]] = {}
     for s1, s2, vty in sorted(_interchangeable(sch, by_pair)):

@@ -12,7 +12,8 @@ One iterative walk, ``check_tree_type``, types every term.  Inputs (trees
 handed to get, put, check and typed edits) and rule patterns differ only in
 their holes: an input may have none, while a rule pattern's variables and
 wildcards take the type their position demands.  ``type_at`` reads one
-position's type off the schema along a path.
+position's type off the schema along a path.  ``default_value`` reads a table
+built once per schema, where each default shares its arguments' defaults.
 """
 
 from __future__ import annotations
@@ -70,9 +71,11 @@ class Schema:
 
     types: dict[str, tuple[Constructor, ...]] = field(default_factory=dict)
     synonyms: dict[str, str] = field(default_factory=dict)
-    # ``min_sizes()``, computed on first use (the frontend declares every type
-    # before that) and handed to every caller, so callers must not mutate it.
+    # ``min_sizes()`` and the defaults, computed on first use (the frontend
+    # declares every type before that) and handed to every caller, so callers
+    # must not mutate them.
     _sizes: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
+    _defaults: dict[str, Tree] | None = field(default=None, init=False, repr=False, compare=False)
 
     def resolve(self, name: str) -> str:
         """The canonical name of a type a caller names: a synonym's target, else itself."""
@@ -216,28 +219,18 @@ def type_at(sch: Schema, ty: str, t: Tree, p: Path) -> str:
 
 def default_value(sch: Schema, ty: str) -> Tree:
     """Minimum-size well-typed tree of ``ty``; ties go to declaration order."""
-    return _build_default(sch, sch.resolve(ty))
-
-
-def _build_default(sch: Schema, name: str) -> Tree:
-    if name == INT:
-        return IntLeaf(0)
-    if name == STRING:
-        return StrLeaf("")
-    sizes = sch.min_sizes()  # after the primitives, which need no fixed point
-    if name not in sizes:
+    if sch._defaults is None:
+        sizes = sch.min_sizes()
+        table: dict[str, Tree] = {INT: IntLeaf(0), STRING: StrLeaf("")}
+        # In increasing size order, so that a default is built from, and shares, its arguments' defaults.
+        for name in sorted(sch.types.keys() & sizes.keys(), key=sizes.__getitem__):
+            for c in sch.types[name]:
+                args = [sizes.get(a) for a in c.arg_types]
+                if None not in args and 1 + sum(args) == sizes[name]:  # type: ignore[arg-type]
+                    table[name] = Node(c.name, tuple(table[a] for a in c.arg_types))
+                    break
+        sch._defaults = table
+    name = sch.resolve(ty)
+    if name not in sch._defaults:
         raise NoFiniteDefault(name)
-    best: Constructor | None = None
-    for c in sch.types[name]:
-        args = [sizes.get(a) for a in c.arg_types]
-        if any(a is None for a in args):
-            continue
-        if best is None and 1 + sum(args) == sizes[name]:  # type: ignore[arg-type]
-            best = c
-    if best is None:
-        raise NoFiniteDefault(name)
-    return Node(
-        best.name,
-        tuple(_build_default(sch, a) for a in best.arg_types),
-    )
-
+    return sch._defaults[name]

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import re
 import string
+import sys
 from operator import itemgetter
 from typing import Iterator
 
@@ -273,7 +274,7 @@ def parse_term(cur: TokenCursor, allow_vars: bool) -> Pattern:
                 raise cur.error("variable not allowed in a tree", pos)
             value = Var(tok)
         elif c.isdecimal() or c == "-" and len(tok) > 1:
-            value = IntLeaf(int(tok))
+            value = IntLeaf(to_int(cur, tok, pos))
         else:
             raise cur.error("unexpected token {!r}", pos)
         pos += 1
@@ -350,19 +351,27 @@ def render_path(p: Path) -> str:
     return "[" + ",".join(map(str, p)) + "]"
 
 
+def to_int(cur: TokenCursor, text: str, i: int) -> int:
+    """``int(text)``, read from token ``i``: an error there if it has more digits than ``int`` reads."""
+    try:
+        return int(text)
+    except ValueError:
+        raise cur.error(f"integer of more than {sys.get_int_max_str_digits()} digits", i) from None
+
+
 def parse_path_tokens(cur: TokenCursor) -> Path:
-    if cur.kind(cur.pos) == "PATH":  # a path that decodes
-        body = cur.tokens[cur.pos][1:-1]
+    if cur.kind(cur.pos) == "PATH":  # a path that decodes, unless an index is too long for ``int``
+        body, i = cur.tokens[cur.pos][1:-1], cur.pos
         cur.pos += 1
-        return tuple(map(int, body.split(","))) if body.strip() else ()
+        return tuple([to_int(cur, x, i) for x in body.split(",")]) if body.strip() else ()
     # A malformed path is its pieces: read them, so that the error names the one at fault.
     cur.expect("LBRACK")
     out: list[int] = []
     if cur.kind(cur.pos) == "INT":
-        out.append(int(cur.expect("INT")))
+        out.append(to_int(cur, cur.expect("INT"), cur.pos - 1))  # the token ``expect`` read
         while cur.kind(cur.pos) == "COMMA":
             cur.pos += 1
-            out.append(int(cur.expect("INT")))
+            out.append(to_int(cur, cur.expect("INT"), cur.pos - 1))
     cur.expect("RBRACK")
     return tuple(out)
 

@@ -2,17 +2,23 @@
 
 ``decompose``, ``fill_wildcards``, ``reconstruct``, ``region_contains``,
 ``links_valid`` and ``tree_size`` are the definitions that the compiled
-rules (``test_plan.py``), the engine and the edits must agree with.  They
-live with the tests, so no module of the package can use them and a fault
-in the code under test cannot leak into its reference.  They recurse; the
-trees the tests give them are small.
+rules (``test_plan.py``), the engine and the edits must agree with.
+``covers_type`` and ``patterns_overlap`` (with ``_covers`` and ``_wildish``)
+are the coverage check and the pairwise overlap test that validation made
+before one pattern-matrix walk per relation side replaced them; the walk's
+verdicts must agree with them (``test_frontend.py``).  They live with the
+tests, so no module of the package can use them and a fault in the code
+under test cannot leak into its reference.  They recurse; the trees and
+patterns the tests give them are small.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
+from treelens.schema import PRIMITIVES, Schema
 from treelens.trees import (
+    WILDCARD,
     IntLeaf,
     Node,
     PathOutOfRange,
@@ -116,3 +122,52 @@ def tree_size(t: Tree) -> int:
     if isinstance(t, Node):
         return 1 + sum(tree_size(c) for c in t.children)
     return 1
+
+
+def _wildish(p: Pattern) -> bool:
+    return isinstance(p, (Wildcard, Var))
+
+
+def _covers(sch: Schema, rows: list[tuple[Pattern, ...]], tys: tuple[str, ...]) -> bool:
+    """True iff every value vector of ``tys`` matches some row (usefulness check)."""
+    if not rows:
+        return False
+    if not tys:
+        return True
+    if any(all(_wildish(p) for p in row) for row in rows):
+        return True
+    t0 = tys[0]
+    if t0 in PRIMITIVES:
+        # Literals never exhaust a primitive; only wild rows survive.
+        sub = [row[1:] for row in rows if _wildish(row[0])]
+        return _covers(sch, sub, tys[1:])
+    for c in sch.types[t0]:
+        arity = len(c.arg_types)
+        sub = []
+        for row in rows:
+            h = row[0]
+            if isinstance(h, Node) and h.ctor == c.name and len(h.children) == arity:
+                sub.append(h.children + row[1:])
+            elif _wildish(h):
+                sub.append((WILDCARD,) * arity + row[1:])
+        subtys = c.arg_types + tys[1:]
+        if not _covers(sch, sub, subtys):
+            return False
+    return True
+
+
+def covers_type(sch: Schema, ty: str, patterns: list[Pattern]) -> bool:
+    return _covers(sch, [(p,) for p in patterns], (ty,))
+
+
+def patterns_overlap(p: Pattern, q: Pattern) -> bool:
+    """True iff some tree matches both patterns."""
+    if _wildish(p) or _wildish(q):
+        return True
+    if isinstance(p, Node) and isinstance(q, Node):
+        return (
+            p.ctor == q.ctor
+            and len(p.children) == len(q.children)
+            and all(patterns_overlap(a, b) for a, b in zip(p.children, q.children))
+        )
+    return p == q

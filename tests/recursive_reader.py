@@ -7,12 +7,15 @@ cursor serves the interface of ``treelens.text.TokenCursor`` (token texts,
 ``kind``, ``positioned``, ``extend``) from those ``Token``s, so that a module
 of the package can read through ``token_lines`` and ``parse_term`` of this
 file.  Errors are ``treelens.text.LensSyntaxError``, so both readers'
-failures compare by their text.
+failures compare by their text.  An integer or a path whose digits are more
+than ``int`` reads is an error at its token, as it is in ``treelens.text``:
+such a path still lexes as one PATH token.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple
 
 from treelens.text import LensSyntaxError, unescape_string
@@ -58,6 +61,18 @@ def decode_path(body: str) -> tuple:
     return tuple(map(int, body.split(","))) if body.strip() else ()
 
 
+def _too_long(tok: Token) -> LensSyntaxError:
+    return LensSyntaxError(f"integer of more than {sys.get_int_max_str_digits()} digits", tok.line, tok.col)
+
+
+def read_int(tok: Token) -> int:
+    """An INT token's value; an error at the token if ``int`` refuses it for its length."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise _too_long(tok) from None
+
+
 def tokenize(text: str, line: int = 1) -> list[Token]:
     out: list[Token] = []
     pos = 0
@@ -69,12 +84,17 @@ def tokenize(text: str, line: int = 1) -> list[Token]:
         if kind == "COMMENT":
             break
         if kind == "PATH":
+            body = m.group()[1:-1]
             try:
-                value = decode_path(m.group()[1:-1])
+                value = decode_path(body)
             except ValueError:
-                out.append(Token("LBRACK", "[", line, pos + 1))
-                pos += 1
-                continue
+                try:  # a path whose indices are too long for ``int`` is still a path
+                    decode_path(re.sub(r"\d+", "0", body))
+                    value = None
+                except ValueError:
+                    out.append(Token("LBRACK", "[", line, pos + 1))
+                    pos += 1
+                    continue
             out.append(Token(kind, m.group(), line, pos + 1, value))
         elif kind != "WS":
             out.append(Token(kind, m.group(), line, pos + 1))
@@ -167,7 +187,7 @@ def parse_pattern_tokens(cur: TokenCursor, allow_vars: bool, top: bool = True):
         return Node(tok.text, ())
     if tok.kind == "INT":
         cur.next()
-        return IntLeaf(int(tok.text))
+        return IntLeaf(read_int(tok))
     if tok.kind == "STR":
         cur.next()
         return StrLeaf(unescape_string(tok.text, tok.line, tok.col))
@@ -192,15 +212,18 @@ def parse_pattern_tokens(cur: TokenCursor, allow_vars: bool, top: bool = True):
 def parse_path_tokens(cur: TokenCursor) -> tuple:
     tok = cur.peek()
     if tok is not None and tok.kind == "PATH":
+        if tok.value is None:
+            raise _too_long(tok)
         return cur.next().value
     cur.expect("LBRACK")
     out: list[int] = []
     tok = cur.peek()
     if tok is not None and tok.kind == "INT":
-        out.append(int(cur.next().text))
+        out.append(read_int(cur.next()))
         while (nxt := cur.peek()) is not None and nxt.kind == "COMMA":
             cur.next()
-            out.append(int(cur.expect("INT")))
+            cur.expect("INT")
+            out.append(read_int(cur.toks[cur.pos - 1]))
     cur.expect("RBRACK")
     return tuple(out)
 

@@ -369,6 +369,16 @@ def test_too_deep_input_is_a_one_line_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_an_integer_too_long_for_int_is_a_syntax_error(tmp_path, capsys):
+    # ``int`` refuses a decimal string of more digits than the process-wide
+    # limit, which the toolkit leaves as it is.
+    digits = sys.get_int_max_str_digits()
+    src = tmp_path / "big.tree"
+    src.write_text('FromT "" (Lit "" ' + "1" * (digits + 700) + ")\n")
+    assert run(["get", "-p", _arith(tmp_path), "-r", "Expr", "Arith", "-i", str(src)]) == 1
+    assert capsys.readouterr() == ("", f"1:18: integer of more than {digits} digits\n")
+
+
 def test_rejected_link_is_the_same_under_every_hash_seed(tmp_path):
     # Three stray links sit inside one view region; put names the one with
     # the least view path, whatever order the link set iterates in.
@@ -405,7 +415,11 @@ def test_rejected_link_is_the_same_under_every_hash_seed(tmp_path):
             4,
             "type error: step 1: replacement at [0]: at []: expected Arith, found Term",
         ),
-        (["validate", "D/bad.lens"], 2, "D/bad.lens:6:1: E-source-coverage: source patterns do not cover Expr"),
+        (
+            ["validate", "D/bad.lens"],
+            2,
+            "D/bad.lens:6:1: E-source-coverage: source patterns do not cover Expr, e.g. FromT _ _",
+        ),
         (["validate", "D/syntax.lens"], 1, "3:10: unexpected character '$'"),
     ],
     ids=["edit-error", "unknown-relation", "typed-edit-step", "validation", "syntax"],

@@ -1,7 +1,12 @@
+import re
+from collections import Counter
+
 import pytest
 
 from conftest import EXAMPLES, example_text
+from oracles import covers_type, patterns_overlap
 from treelens import (
+    check_tree_type,
     lens,
     load_program,
     parse_program,
@@ -9,7 +14,8 @@ from treelens import (
     render_program,
     validate_program,
 )
-from treelens.frontend import ValidationError, normalize_type_name
+from treelens import frontend
+from treelens.frontend import ValidationError, _compile_rule, normalize_type_name
 from treelens.text import LensSyntaxError, render_pattern
 
 ARITH = example_text("arith.lens")
@@ -189,8 +195,11 @@ def test_primitive_source_relation_rejected(source, arith):
 
 
 def test_view_coverage_is_warning(arith):
-    vp = load_program(example_text("rosetree.lens"))
-    assert any(w.code == "W-view-coverage" for w in vp.warnings)
+    vp = load_program(example_text("rosetree.lens"), "r.lens")
+    assert [w.format("r.lens") for w in vp.warnings] == [
+        "r.lens:4:1: W-view-coverage: view patterns do not cover List Int; "
+        "writing back such views will be rejected, e.g. Nil"  # a view no rule builds
+    ]
 
 
 def test_duplicate_relation_rejected():
@@ -289,3 +298,215 @@ def test_shipped_programs_validate_and_roundtrip(name):
     program = parse_program(text, name)
     validate_program(program)
     assert render_program(program) == text  # byte-exact
+
+
+@pytest.mark.parametrize(
+    "program,message",
+    [
+        ("data A = A B\ndata B = B X\ndata V = V0\n\nA <---> V\n  A _ ~ V0\n", "2:1: unknown type X"),
+        ("data L a = N | C a (L a) | Bad a Q\ndata V = V0\n\nL Int <---> V\n  N ~ V0\n", "1:1: unknown type Q"),
+        (
+            "data P a = P a\ndata N a = Z a | S (N (P a))\ndata V = V0\nN Int <---> V\n  Z _ ~ V0\n",
+            "2:1: type instantiation does not terminate",
+        ),
+    ],
+    ids=["unknown-in-a-used-declaration", "unknown-in-a-header-type", "nested-datatype"],
+)
+def test_schema_errors_name_the_declaration_that_holds_them(program, message):
+    # Not the line that first used the declaration.
+    with pytest.raises(LensSyntaxError) as e:
+        parse_program(program)
+    assert str(e.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Coverage and overlap: one pattern-matrix walk per relation side, against the
+# pairwise overlap test and the coverage check it replaced (tests/oracles.py).
+
+# One rule dropped from each shipped program, and the coverage error it gives.
+_DROPPED = {
+    "addrbook.lens": (
+        "  Cons p xs ~ Cons p xs\n",
+        "23:1: E-source-coverage: source patterns do not cover List Person, e.g. Cons _ _",
+    ),
+    "arith.lens": (
+        "  FromT _ t ~ t\n",
+        "6:1: E-source-coverage: source patterns do not cover Expr, e.g. FromT _ _",
+    ),
+    "brac_paren.lens": (
+        "  Brac _ b ~ b\n",
+        "11:1: E-source-coverage: source patterns do not cover Term, e.g. Brac _ _",
+    ),
+    "compose_chain.lens": (
+        "  Num _ ~ NZ\n",
+        "17:1: E-source-coverage: source patterns do not cover Arith, e.g. Num _",
+    ),
+    "mirror.lens": (
+        "  Node i x y ~ Node i y x\n",
+        "3:1: E-source-coverage: source patterns do not cover BinT Int, e.g. Node _ _ _",
+    ),
+    "natbool.lens": (
+        "  Zero ~ False\n",
+        "5:1: E-source-coverage: source patterns do not cover Nat, e.g. Zero",
+    ),
+    "rosetree.lens": (
+        "  RNode i (Cons x _) ~ Cons i x\n",
+        "4:1: E-source-coverage: source patterns do not cover RTree Int, e.g. RNode _ (Cons _ _)",
+    ),
+    "sugar_chain.lens": ("  QZ ~ VA\n", "9:1: E-source-coverage: source patterns do not cover Q, e.g. QZ"),
+    "sugarlang.lens": (
+        "  SWhile _ e s ~ AFor e s\n",
+        "24:1: E-source-coverage: source patterns do not cover SStmt, e.g. SWhile _ _ _",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in EXAMPLES.glob("*.lens")))
+def test_a_coverage_error_names_a_value_no_rule_matches(name):
+    rule, message = _DROPPED[name]
+    text = example_text(name)
+    assert text.count(rule) == 1
+    with pytest.raises(ValidationError) as e:
+        load_program(text.replace(rule, ""), "p.lens")
+    assert str(e.value).splitlines()[0] == "p.lens:" + message
+
+
+@pytest.mark.parametrize(
+    "rules,witness",
+    [
+        (["E2 ~ V0"], "E0"),  # the first constructor no rule heads, in declaration order
+        (["E0 ~ V0", "E2 ~ V0"], "E1 _"),
+        (["E0 ~ V0", "E1 (S 3) ~ V0", "E2 ~ V0"], "E1 (S 4)"),
+        (["S 0 ~ V0", "S 1 ~ V0"], "S 2"),  # a fresh literal at a primitive
+        (["S -4 ~ V0"], "S -3"),
+        (['T "" ~ V0', 'T "ab" ~ V0'], 'T "abx"'),
+        (["P (S 0) _ ~ V0", "P _ (S 0) ~ V0"], "P (S 1) (S 1)"),
+        (["P (S 0) _ ~ V0", "P (S 1) _ ~ V0"], "P (S 2) _"),  # ``_`` where every value is uncovered
+    ],
+)
+def test_a_witness_is_the_first_value_no_rule_matches(rules, witness):
+    text = "data S = S Int\ndata T = T String\ndata P = P S S\ndata E = E0 | E1 S | E2\ndata V = V0\n\n{} <---> V\n{}"
+    ty = rules[0].split()[0].rstrip("012")
+    with pytest.raises(ValidationError) as e:
+        load_program(text.format(ty, "".join(f"  {r}\n" for r in rules)))
+    assert str(e.value).splitlines()[-1].endswith(f"do not cover {ty}, e.g. {witness}")
+
+
+def _rule_mutants(text: str):
+    """Rule-level mutants of a program: each rule dropped and repeated, each
+    identifier of a source pattern made ``_``, and each rule given the source
+    pattern of each other rule."""
+    lines = text.splitlines(keepends=True)
+    rules = [(k, *line.split("~")) for k, line in enumerate(lines) if "~" in line]
+    for k, source, view in rules:
+        yield "".join(lines[:k] + lines[k + 1 :])
+        yield "".join(lines[: k + 1] + lines[k:])
+        for m in re.finditer(r"[A-Za-z][A-Za-z0-9']*", source):
+            lines[k] = source[: m.start()] + "_" + source[m.end() :] + "~" + view
+            yield "".join(lines)
+        for j, theirs, _ in rules:
+            if j != k:
+                lines[k] = theirs + "~" + view
+                yield "".join(lines)
+        lines[k] = source + "~" + view
+
+
+def _reused_constructors(text: str):
+    """Each constructor of each declaration declared again, with no arguments, at the end of the declaration."""
+    lines = text.splitlines(keepends=True)
+    for k, line in enumerate(lines):
+        if line.startswith("data "):
+            for name in re.findall(r"[=|] (\w+)", line):
+                yield "".join(lines[:k] + [f"{line.rstrip()} | {name}\n"] + lines[k + 1 :])
+
+
+def _compiled(program, rel):
+    """The rules of ``rel`` that compile, as ``validate_program`` keeps them."""
+    compiled = (_compile_rule(program.schema, rel, raw, i, {}, []) for i, raw in enumerate(rel.rules))
+    return [r for r in compiled if r is not None]
+
+
+def test_the_matrix_walk_agrees_with_the_pairwise_and_coverage_oracles():
+    # Rule-level mutants of every shipped program, and programs where a type
+    # declares a constructor name twice, once with another arity.
+    seen = Counter()
+    for name in sorted(p.name for p in EXAMPLES.glob("*.lens")):
+        for text in [*_rule_mutants(example_text(name)), *_reused_constructors(example_text(name))]:
+            try:
+                program = parse_program(text)
+            except LensSyntaxError:
+                seen["syntax"] += 1
+                continue
+            try:
+                diags, warnings = [], validate_program(program).warnings
+            except ValidationError as e:
+                diags, warnings = e.diagnostics, None
+            sch = program.schema
+            overlaps, gaps = [], {"E-source-coverage": set(), "W-view-coverage": set()}
+            for rel in program.relations:
+                rules = _compiled(program, rel)
+                pairwise = {
+                    (i, j) for j, b in enumerate(rules) for i, a in enumerate(rules[:j])
+                    if patterns_overlap(a.source, b.source)
+                }
+                overlaps += [
+                    (rules[j].line, f"source patterns of rules {rules[i].index + 1} and {rules[j].index + 1} overlap")
+                    for i, j in sorted(pairwise)
+                ]
+                for side, ty, code, message in (
+                    ("source", rel.source_type, "E-source-coverage", "source patterns do not cover {}, e.g. {}"),
+                    ("view", rel.view_type, "W-view-coverage",
+                     "view patterns do not cover {}; writing back such views will be rejected, e.g. {}"),
+                ):
+                    patterns = [getattr(r, side) for r in rules]
+                    pairs: set = set()
+                    gap = frontend._walk_matrix(sch, [(i, (p,)) for i, p in enumerate(patterns)], (ty,), pairs)
+                    assert (gap is None) == covers_type(sch, ty, patterns), (text, side)
+                    if side == "source":
+                        assert pairs == pairwise, text
+                    if gap is None:
+                        continue
+                    assert not any(patterns_overlap(p, gap[0]) for p in patterns), (text, side)
+                    if "E-ctor-reuse" not in {d.code for d in diags}:  # else a name may have two arities
+                        check_tree_type(sch, ty, gap[0], {})  # a value of the type, up to its holes
+                    if len(rules) == len(rel.rules):
+                        gaps[code].add((rel.line, message.format(ty, render_pattern(gap[0]))))
+                        seen[code] += 1
+            seen["E-overlap"] += len(overlaps)
+            assert [(d.line, d.message) for d in diags if d.code == "E-overlap"] == overlaps, text
+            assert {(d.line, d.message) for d in diags if d.code == "E-source-coverage"} == gaps["E-source-coverage"], text
+            if warnings is not None:
+                assert {(w.line, w.message) for w in warnings} == gaps["W-view-coverage"], text
+            seen["validated"] += 1
+            seen["E-ctor-reuse"] += "E-ctor-reuse" in {d.code for d in diags}
+    # The mutants reach every verdict.
+    verdicts = ("syntax", "validated", "E-overlap", "E-source-coverage", "W-view-coverage", "E-ctor-reuse")
+    assert min(seen[k] for k in verdicts) > 0, seen
+
+
+def _one_relation(n: int) -> str:
+    """One relation of ``n`` rules ``A{i} x ~ B{i} x``."""
+    return (
+        "data S = " + " | ".join(f"A{i} Int" for i in range(n)) + "\n"
+        "data V = " + " | ".join(f"B{i} Int" for i in range(n)) + "\n\nS <---> V\n"
+        + "".join(f"  A{i} x ~ B{i} x\n" for i in range(n))
+    )
+
+
+def test_the_matrix_walk_is_handed_rows_in_proportion_to_the_rules(monkeypatch):
+    # Comparing every pair of source patterns took n(n-1)/2 calls: 19,900 at
+    # 200 rules and 79,800 at 400.  The walk splits the rows by head, so its
+    # work grows with the rules.  Counted, not timed.
+    walk, handed = frontend._walk_matrix, []
+
+    def counting(sch, rows, tys, pairs):
+        handed.append(len(rows))
+        return walk(sch, rows, tys, pairs)
+
+    monkeypatch.setattr(frontend, "_walk_matrix", counting)
+    totals = []
+    for n in (200, 400):
+        handed.clear()
+        load_program(_one_relation(n))
+        totals.append(sum(handed))
+    assert totals[1] <= 2.2 * totals[0], totals

@@ -18,7 +18,8 @@ mutant either changes one character or edits one token: deletes it, repeats
 it, swaps it with its neighbour, or replaces it with a token of any of the
 files, or else replaces a whole parenthesized subterm with one of any of the
 files, so that well-formed fragments land in the wrong place (Holler,
-Herzig & Zeller, "Fuzzing with code fragments", USENIX Security 2012).
+Herzig & Zeller, "Fuzzing with code fragments", USENIX Security 2012).  A
+few mutants lengthen a number past the digits ``int`` reads.
 
 Every run must end with an exit code from 0 to 4 and let no exception
 escape ``cli.run``; a failing run must say why on standard error.  Every
@@ -30,6 +31,8 @@ fixed, and the run takes a few seconds.
 from __future__ import annotations
 
 import random
+import re
+import sys
 
 import pytest
 
@@ -110,10 +113,19 @@ def _token_mutant(rng: random.Random, text: str, pool: list[str], subterms: list
     return text[:a] + rng.choice(pool) + text[b:]
 
 
+def _long_number_mutant(rng: random.Random, text: str) -> str:
+    """``text`` with a number lengthened past the digits ``int`` reads, or such digits put in if it has none."""
+    ends = [m.end() for m in re.finditer(r"\d+", text)]
+    i = rng.choice(ends) if ends else rng.randrange(len(text) + 1)
+    return text[:i] + "9" * sys.get_int_max_str_digits() + text[i:]
+
+
 def _mutants(rng: random.Random, text: str, pool: list[str], subterms: list[str], n: int) -> list[str]:
-    return [_char_mutant(rng, text) for _ in range(n)] + [
-        _token_mutant(rng, text, pool, subterms) for _ in range(n)
-    ]
+    return (
+        [_char_mutant(rng, text) for _ in range(n)]
+        + [_token_mutant(rng, text, pool, subterms) for _ in range(n)]
+        + [_long_number_mutant(rng, text) for _ in range(n // 4)]
+    )
 
 
 def _outcome(f, text):

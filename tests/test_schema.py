@@ -228,3 +228,16 @@ def test_list_cell(addrbook, arith):
     assert sch.list_cell("Person") is None
     # Only the shape counts: Add's second argument is an Arith, although Arith has no nil.
     assert arith.schema.list_cell("Arith").name == "Add"
+
+
+def test_defaults_share_their_arguments_defaults():
+    # Each synonym doubles the least value of W, so a default rebuilt at each
+    # use took time exponential in the program's length.  Built once per
+    # type, a default is a DAG of its arguments' defaults.
+    k = 20
+    text = "data P a = P a a\ntype T1 = P Int\n" + "".join(f"type T{i + 1} = P T{i}\n" for i in range(1, k))
+    vp = load_program(text + f"data W = W T{k}\ndata V = V\n\nW <---> V\n  W _ ~ V\n")
+    d = default_value(vp.schema, "W")
+    assert vp.schema.min_sizes()["W"] == 2 ** (k + 1)
+    assert d.children[0].children[0] is d.children[0].children[1]
+    assert vp.relations[0].rules[0].defaults[0] is d.children[0]

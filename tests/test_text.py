@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,37 @@ def test_edge_paths_read_as_the_recursive_reader_reads_them(path, read, monkeypa
     script = f"swap {path} [0]\n"
     assert _outcome(parse_script, script) == _with_recursive_reader(edits, parse_script, script)
     links = f"(P @ {path}) <-> (Q @ [0])\n"
+    monkeypatch.setattr(text, "_read_rendered_links", lambda text: None)  # the line reader
+    assert _outcome(parse_links, links) == _outcome(rr.parse_links, links)
+
+
+_LONG = "7" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "path,col",
+    [
+        (f"[{_LONG}]", 1),  # a PATH token, but for its length
+        (f"[1, -{_LONG} ]", 1),
+        (f"[{_LONG},]", 2),  # malformed: its pieces, the first of them too long
+        (f"[1,{_LONG},]", 4),
+        (f"[1,,{_LONG}]", None),  # the malformed piece comes first
+    ],
+    ids=["path", "signed-index", "first-piece", "second-piece", "after-an-error"],
+)
+def test_an_integer_too_long_for_int_is_an_error_at_its_token(path, col, monkeypatch):
+    from treelens import edits, text
+
+    too_long = f"integer of more than {sys.get_int_max_str_digits()} digits"
+    outcome = _outcome(parse_path, path)
+    assert outcome == _outcome(_reference_parse_path, path)
+    assert (outcome == ("error", f"1:{col}: {too_long}")) == (col is not None)
+    script = f"swap [0] {path}\ndelete [0] {_LONG}\n"
+    assert _outcome(parse_script, script) == _with_recursive_reader(edits, parse_script, script)
+    tree = f'Lit "" {_LONG}\n'
+    assert _outcome(read_tree_file, tree) == _outcome(rr.read_tree_file, tree) == ("error", f"1:8: {too_long}")
+    links = f"(P @ {path}) <-> (Q @ [0])\n"
+    assert _outcome(parse_links, links) == _outcome(rr.parse_links, links)
     monkeypatch.setattr(text, "_read_rendered_links", lambda text: None)  # the line reader
     assert _outcome(parse_links, links) == _outcome(rr.parse_links, links)
 
