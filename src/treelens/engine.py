@@ -100,6 +100,9 @@ def _generating_rules(
     case, which a conversion must then bridge.
     """
     current, foreign = [], []
+    # This key hashes the whole input view pattern, and a tuple hash has no
+    # depth guard.  It is safe only because ``_sync`` has run ``is_match`` on
+    # that pattern first, which recurses under the recursion limit.
     for rel, rule in vp.generators.get((vty, l.view.pattern), ()):
         fills = rule.merge(l.source.pattern)
         if fills is not None:

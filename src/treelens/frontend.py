@@ -145,6 +145,10 @@ def _parse_type(cur: TokenCursor, params: bool) -> Node:
     return t  # type: ignore[return-value]  # a variable is never a whole type
 
 
+def _unbound(e: Var, line: int) -> LensSyntaxError:
+    return LensSyntaxError(f"unbound type variable {e.name}", line, 1)
+
+
 class _SchemaBuilder:
     """Monomorphizes declarations into a ground ``Schema``."""
 
@@ -168,29 +172,49 @@ class _SchemaBuilder:
             raise LensSyntaxError("type instantiation does not terminate", line, 1)
         if isinstance(e, Var):
             if e.name not in env:
-                raise LensSyntaxError(f"unbound type variable {e.name}", line, 1)
+                raise _unbound(e, line)
             return env[e.name]
-        name, args = e.ctor, e.children
+        decl = self._applied(e, line)
+        if decl is None:
+            return e if e.ctor in PRIMITIVES else self.canonical(self.syns[e.ctor], {}, line, depth + 1)
+        ce = Node(e.ctor, tuple(self.canonical(a, env, line, depth + 1) for a in e.children))
+        self._instantiate(ce, decl, depth)
+        return ce
+
+    def _applied(self, e: Node, line: int) -> DataDecl | None:
+        """The data declaration ``e`` applies (None for a synonym or a primitive), its arity checked."""
+        name, n = e.ctor, len(e.children)
         if name in self.syns:
-            if args:
+            if n:
                 raise LensSyntaxError(f"synonym {name} cannot take arguments", line, 1)
-            return self.canonical(self.syns[name], {}, line, depth + 1)
+            return None
         if name in PRIMITIVES:
-            if args:
+            if n:
                 raise LensSyntaxError(f"{name} takes no arguments", line, 1)
-            return e
+            return None
         decl = self.datas.get(name)
         if decl is None:
             raise LensSyntaxError(f"unknown type {name}", line, 1)
-        if len(decl.params) != len(args):
-            raise LensSyntaxError(
-                f"type {name} expects {len(decl.params)} argument(s), got {len(args)}",
-                line,
-                1,
-            )
-        ce = Node(name, tuple(self.canonical(a, env, line, depth + 1) for a in args))
-        self._instantiate(ce, decl, depth)
-        return ce
+        if len(decl.params) != n:
+            raise LensSyntaxError(f"type {name} expects {len(decl.params)} argument(s), got {n}", line, 1)
+        return decl
+
+    def check_generic(self, decl: DataDecl) -> None:
+        """Refuse what instantiating ``decl`` would refuse, without instantiating it.
+
+        A generic declaration that nothing applies is never instantiated, so
+        this is the only check it gets.  The walk is in ``canonical``'s order,
+        and an applied declaration passes it.
+        """
+        stack = [a for alt in reversed(decl.ctors) for a in reversed(alt.children)]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, Var):
+                if e.name not in decl.params:
+                    raise _unbound(e, decl.line)
+                continue
+            self._applied(e, decl.line)
+            stack.extend(reversed(e.children))
 
     def name(self, ce: Node) -> str:
         """The schema's name of a canonical type, rendered once per instance."""
@@ -318,6 +342,9 @@ def _parse_lines(lines: list[TokenCursor], source_name: str) -> Program:
         relations.append(RawRelation(source_expr, view_expr, sty, vty, rules, cur.line))
     if not relations:
         raise LensSyntaxError("a program needs at least one relation", 1, 1)
+    for decl in decls:  # last, so that every error above keeps its precedence
+        if isinstance(decl, DataDecl) and decl.params:
+            builder.check_generic(decl)
     return Program(builder.schema, relations, decls, source_name)
 
 

@@ -204,7 +204,4 @@ def _compile(p: Pattern, holes: dict[Path, int], region: bool = False) -> tuple[
         return (lambda t: True), (lambda slots: slots[v])
     if region:
         return (lambda t: p), (lambda r, fills: r == p)
-    if isinstance(p, Node):  # one frame per match, where ``t == p`` adds Node.__eq__'s
-        ctor, kids = p.ctor, p.children
-        return (lambda t: isinstance(t, Node) and t.ctor == ctor and t.children == kids), (lambda slots: p)
     return (lambda t: t == p), (lambda slots: p)

@@ -71,11 +71,14 @@ class Schema:
 
     types: dict[str, tuple[Constructor, ...]] = field(default_factory=dict)
     synonyms: dict[str, str] = field(default_factory=dict)
-    # ``min_sizes()`` and the defaults, computed on first use (the frontend
-    # declares every type before that) and handed to every caller, so callers
-    # must not mutate them.
+    # ``min_sizes()``, the defaults and ``by_name()``, computed on first use
+    # (the frontend declares every type before that) and handed to every
+    # caller, so callers must not mutate them.
     _sizes: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
     _defaults: dict[str, Tree] | None = field(default=None, init=False, repr=False, compare=False)
+    _by_name: dict[str, dict[str, Constructor]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def resolve(self, name: str) -> str:
         """The canonical name of a type a caller names: a synonym's target, else itself."""
@@ -89,12 +92,19 @@ class Schema:
             raise UnknownType(name)
         return self.types[name]
 
+    def by_name(self) -> dict[str, dict[str, Constructor]]:
+        """Each declared type's constructors by name; a repeated name keeps its first."""
+        if self._by_name is None:
+            self._by_name = {}
+            for name, ctors in self.types.items():
+                table = self._by_name[name] = {}
+                for c in ctors:
+                    table.setdefault(c.name, c)
+        return self._by_name
+
     def constructor(self, ty: str, ctor: str) -> Constructor | None:
         """Constructor ``ctor`` of the declared type ``ty``, a canonical name."""
-        for c in self.types.get(ty, ()):
-            if c.name == ctor:
-                return c
-        return None
+        return self.by_name().get(ty, {}).get(ctor)
 
     def owner_of(self, ctor: str) -> str | None:
         """Some declared type owning ``ctor``, for diagnostics."""
@@ -165,8 +175,10 @@ def check_tree_type(
     Inputs pass ``holes=None``: they must be trees, so a variable or wildcard
     is ill-typed.  Rule patterns pass a dict: each hole takes the type its
     position demands, recorded under the hole's path.  The walk keeps an
-    explicit stack, and builds a node's path only to report it.
+    explicit stack, looks each constructor up by name, and builds a node's
+    path only to report it.
     """
+    by_name = sch.by_name()
     stack = [(sch.resolve(ty), t, None)]
     while stack:
         expected, u, at = stack.pop()
@@ -183,15 +195,13 @@ def check_tree_type(
             if not isinstance(u, StrLeaf):
                 raise IllTyped(_path(at), expected, _found_name(sch, u))
             continue
-        ctors = sch.types.get(expected)
+        ctors = by_name.get(expected)
         if ctors is None:
             raise UnknownType(expected)
         if not isinstance(u, Node):
             raise IllTyped(_path(at), expected, _found_name(sch, u))
-        for ctor in ctors:
-            if ctor.name == u.ctor:
-                break
-        else:
+        ctor = ctors.get(u.ctor)
+        if ctor is None:
             raise IllTyped(_path(at), expected, _found_name(sch, u))
         if len(ctor.arg_types) != len(u.children):
             raise IllTyped(

@@ -392,9 +392,10 @@ def render_links(ls) -> str:
     """Canonical link-set text: sorted, one link per line, trailing newline.
 
     Each pattern object renders once, keyed by its identity, which is safe
-    because ``ls`` holds every pattern for the whole call, and cheap because
-    the key is not a recursive hash.  A path whose parent path was rendered
-    before is its parent's text with one index appended.
+    because ``ls`` holds every pattern for the whole call, and must be so
+    because a pattern's own hash would walk it with no depth guard (see
+    ``trees``).  A path whose parent path was rendered before is its
+    parent's text with one index appended.
     """
     patterns: dict[int, str] = {}
     paths: dict[Path, str] = {(): "[]"}

@@ -24,6 +24,26 @@ link file (comments, blank lines, other spacing, CRLF line ends, errors) by
 one regex call per line.  Either way a path is decoded from, and rendered
 from, its parent path's cached text, so only C code touches each index; the
 bytes stay O(depth) per link until a new file format changes them.
+
+Terms are tuples.  ``Node``, ``IntLeaf``, ``StrLeaf``, ``Region`` and ``Link``
+are ``NamedTuple`` classes: comparing and hashing them runs in C, with no
+Python frame per node, and building one runs only the generated ``__new__``.
+A field is read by name and cannot be assigned, and every term is truthy.
+No two of these classes' terms compare equal: they differ in arity or in the
+kind of their first field.  ``Var`` and ``Wildcard`` stay frozen
+dataclasses, because as tuples ``Var("x")`` would equal ``StrLeaf("x")`` and
+the empty ``Wildcard`` would be falsy.  A plain tuple may equal a term with
+the same fields, so the package never mixes the two in one set or dict.
+
+CPython guards tuple equality and ``repr`` against deep nesting (they raise
+``RecursionError``, which the CLI reports), but not tuple hashing, which
+recurses in C until the process dies.  So no hash may walk a term whose
+depth the input controls: a ``Region`` hashes only its path, so a ``Link``
+hashes only its two paths, and ``fst_projection`` keeps each link a link.
+Where a term is hashed whole, something has bounded its depth first: the
+recursion limit, by a recursive walk over it, for the view pattern of a link
+put retains (a key of ``ValidatedProgram.generators``), and the
+instantiation depth limit for a type the frontend names.
 """
 
 from __future__ import annotations
@@ -31,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class TreeError(Exception):
@@ -45,21 +65,18 @@ class PathOutOfRange(TreeError):
 Path = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """Constructor node with an ordered tuple of children."""
 
     ctor: str
     children: tuple["Pattern", ...] = ()
 
 
-@dataclass(frozen=True)
-class IntLeaf:
+class IntLeaf(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class StrLeaf:
+class StrLeaf(NamedTuple):
     value: str
 
 
@@ -79,16 +96,18 @@ Pattern = Union[Node, IntLeaf, StrLeaf, Var, Wildcard]
 WILDCARD = Wildcard()
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A partial subtree: a variable-free pattern rooted at a path."""
 
     pattern: Pattern
     path: Path
 
+    def __hash__(self) -> int:
+        # The path only: the pattern may nest as deeply as the input.
+        return hash(self.path)
 
-@dataclass(frozen=True)
-class Link:
+
+class Link(NamedTuple):
     """A correspondence between a source region and a view region."""
 
     source: Region
@@ -153,9 +172,12 @@ def link_converse(ls) -> LinkSet:
     return frozenset(Link(l.view, l.source) for l in ls)
 
 
-def fst_projection(ls) -> frozenset:
-    """Links with the source path dropped: the part put must preserve."""
-    return frozenset((l.source.pattern, l.view) for l in ls)
+def fst_projection(ls) -> LinkSet:
+    """Links with the source path dropped (set to the root): the part put must preserve.
+
+    Each stays a ``Link``, so it hashes by its view path, not by its source pattern.
+    """
+    return frozenset(Link(Region(l.source.pattern, ()), l.view) for l in ls)
 
 
 def pattern_key(p: Pattern):

@@ -369,6 +369,52 @@ def test_too_deep_input_is_a_one_line_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+# Inputs whose terms nest far deeper than any stack allows.  A tuple hash has
+# no depth guard, so a hash walking one of these terms ends the process on a
+# signal; the script runs in a child process so that this fails the test.
+_DEEP_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+from treelens import fst_projection, parse_links
+from treelens.cli import run
+
+d = Path(sys.argv[1])
+(d / "p.lens").write_text(
+    "data T = A T T | L Int\\ndata V = B V | W Int\\n\\nT <---> V\\n  A _ y ~ B y\\n  L i ~ W i\\n"
+)
+prog = ["-p", str(d / "p.lens"), "-r", "T", "V"]
+
+def cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    return [code, err.getvalue()[:60]]
+
+n, m = 120_000, 600_000
+(d / "s.tree").write_text("A (" * n + "L 0" + ") (L 1)" * n + "\\n")  # a left spine under the wildcard
+out = {"get": cli(["get", *prog, "-i", str(d / "s.tree"), "-o", str(d / "v.tree"), "-l", str(d / "l.links")])}
+ls = parse_links((d / "l.links").read_text())
+out["fst"] = [len(fst_projection(ls)), fst_projection(ls) <= fst_projection(ls)]
+(d / "s2.tree").write_text("A (L 0) (L 1)\\n")
+(d / "v2.tree").write_text("B (W 1)\\n")
+(d / "l2.links").write_text("(" + "A (" * m + "L 0" + ") _" * m + " @ []) <-> (B _ @ [])\\n")
+out["put"] = cli(["put", *prog, "-s", str(d / "s2.tree"), "-v", str(d / "v2.tree"), "-l", str(d / "l2.links")])
+print(json.dumps(out))
+"""
+
+
+def test_deep_inputs_never_end_the_process_on_a_signal(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", _DEEP_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, (done.returncode, done.stderr[-2000:])
+    out = json.loads(done.stdout)
+    assert out["get"] == [0, ""]
+    assert out["fst"] == [2, True]
+    code, err = out["put"]
+    assert code == 3 and err.startswith("links rejected: E-source-mismatch at view path []")
+
+
 def test_an_integer_too_long_for_int_is_a_syntax_error(tmp_path, capsys):
     # ``int`` refuses a decimal string of more digits than the process-wide
     # limit, which the toolkit leaves as it is.

@@ -319,6 +319,31 @@ def test_schema_errors_name_the_declaration_that_holds_them(program, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize(
+    "alternative,message",
+    [
+        ("Bad Q", "unknown type Q"),
+        ("Bad b", "unbound type variable b"),
+        ("Bad (L a a)", "type L expects 1 argument(s), got 2"),
+        ("Bad (Int a)", "Int takes no arguments"),
+        ("Bad (S a)", "synonym S cannot take arguments"),
+    ],
+)
+def test_a_generic_declaration_nothing_applies_is_checked(alternative, message):
+    # No type expression names ``L``, so it is never instantiated; its
+    # alternatives are checked as they stand, at the declaration's line.
+    program = f"type S = Int\ndata T = T0\ndata L a = N | {alternative}\n\nT <---> T\n  T0 ~ T0\n"
+    with pytest.raises(LensSyntaxError) as e:
+        parse_program(program)
+    assert str(e.value) == f"3:1: {message}"
+
+
+def test_a_generic_declaration_nothing_applies_is_not_instantiated():
+    # A nested datatype is refused only where something applies it.
+    program = "data T = T0\ndata P a = P a\ndata N a = Z a | S (N (P a))\n\nT <---> T\n  T0 ~ T0\n"
+    assert parse_program(program).schema.types.keys() == {"T"}
+
+
 # ---------------------------------------------------------------------------
 # Coverage and overlap: one pattern-matrix walk per relation side, against the
 # pairwise overlap test and the coverage check it replaced (tests/oracles.py).

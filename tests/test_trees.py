@@ -28,6 +28,7 @@ from treelens import (
     link_converse,
     parse_pattern,
     parse_tree,
+    render_pattern,
     sel,
 )
 from treelens.trees import PathOutOfRange
@@ -311,3 +312,70 @@ def test_canonical_links_match_the_full_key_sort(indices):
             ),
         )
         assert canonical_links(ls) == reference
+
+
+# Terms are tuples (see the ``trees`` module docstring); these pin what the
+# rest of the package relies on that a plain tuple would not give.
+_TERMS = [
+    Node("X"),
+    Node("X", (StrLeaf("x"),)),
+    IntLeaf(0),
+    IntLeaf(1),
+    StrLeaf("x"),
+    StrLeaf(""),
+    StrLeaf("X"),  # the first field of Node("X")
+    Var("x"),
+    WILDCARD,
+    Region(Node("X"), ()),
+    Region(StrLeaf("x"), (0,)),
+    Link(Region(Node("X"), ()), Region(Node("X"), ())),
+]
+
+
+def test_terms_of_different_kinds_never_compare_equal():
+    for a in _TERMS:
+        for b in _TERMS:
+            if type(a) is not type(b):
+                assert a != b and not a == b, (a, b)
+
+
+def _rebuilt(t):
+    """An equal copy of ``t`` that shares no term with it."""
+    if isinstance(t, Link):
+        return Link(_rebuilt(t.source), _rebuilt(t.view))
+    if isinstance(t, Region):
+        return Region(_rebuilt(t.pattern), tuple(list(t.path)))
+    return parse_pattern(render_pattern(t))
+
+
+def test_equal_terms_hash_equal():
+    for a in _TERMS:
+        b = _rebuilt(a)
+        assert a == b and hash(a) == hash(b), a
+
+
+def test_a_region_hashes_by_its_path_only():
+    assert hash(Region(Node("A"), (1, 2))) == hash(Region(StrLeaf("b"), (1, 2))) == hash((1, 2))
+    assert Region(Node("A"), (1, 2)) != Region(StrLeaf("b"), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "term,field",
+    [(Node("A"), "ctor"), (IntLeaf(1), "value"), (StrLeaf("s"), "value"), (Var("x"), "name"),
+     (Region(Node("A"), ()), "path"), (Link(Region(Node("A"), ()), Region(Node("A"), ())), "view")],
+)
+def test_assigning_a_term_field_raises(term, field):
+    with pytest.raises(AttributeError):
+        setattr(term, field, None)
+
+
+def test_term_reprs_name_their_fields():
+    assert repr(Node("A")) == "Node(ctor='A', children=())"
+    assert repr(Node("A", (IntLeaf(1), StrLeaf("s")))) == (
+        "Node(ctor='A', children=(IntLeaf(value=1), StrLeaf(value='s')))"
+    )
+    assert repr(Region(WILDCARD, (0,))) == "Region(pattern=Wildcard(), path=(0,))"
+
+
+def test_every_term_is_truthy():
+    assert all(bool(t) for t in _TERMS)
