@@ -1,16 +1,17 @@
 """Sequential composition of two lenses with link-relation plumbing.
 
-A composite is a lens like its parts: ``Lens`` types its inputs once, and its
-cores run on the parts' cores, so no intermediate value is typed again.  Its
-get runs both gets and composes the link relations; its put threads links
-through the middle type: derive intermediate links for the inner put from the
-input links and the first get's links, run the inner put, re-read the updated
-middle's links, and use their composition with the input links to drive the
-outer put.  An input link threads when its source region is the source
-region of one of the first get's links; put rejects any other input link
-with ``E-unthreaded-link``, naming that link, instead of dropping it.  When
-a threaded link fails in the second lens, the failure names the input link
-it was carried from, not the derived middle link.
+A composite is a lens like its parts: ``Lens`` types put's source once, and
+its cores run on the parts' cores, which type the rest as they walk, so no
+intermediate value is typed again.  Its get runs both gets and composes the
+link relations; its put threads links through the middle type: derive
+intermediate links for the inner put from the input links and the first
+get's links, run the inner put, re-read the updated middle's links, and use
+their composition with the input links to drive the outer put.  An input
+link threads when its source region is the source region of one of the
+first get's links; put rejects any other input link with
+``E-unthreaded-link``, naming that link, instead of dropping it.  When a
+threaded link fails in the second lens, the failure names the input link it
+was carried from, not the derived middle link.
 """
 
 from __future__ import annotations

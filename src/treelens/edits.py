@@ -187,7 +187,8 @@ def move(
 ) -> EditState:
     """Copy then vacate: links at ``frm`` are redirected to ``to``."""
     _check_type(ctx, st.view, frm, filler)
-    return replace(copy(st, frm, to, ctx), frm, filler, ctx)
+    # The copy leaves the type at ``frm`` as it was, so the filler is typed once, above.
+    return replace(copy(st, frm, to, ctx), frm, filler)
 
 
 def swap(st: EditState, p: Path, q: Path, ctx: EditContext | None = None) -> EditState:

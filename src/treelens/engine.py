@@ -2,11 +2,24 @@
 
 Every lens, a composite included, has two primitives: ``get`` pairs the view
 with links relating source regions to view regions, and ``try_put`` returns
-the new source or the first ``CheckFailure``.  ``Lens`` writes the rest once.
-It types the view, then the source, at the boundary and hands them to a
-subclass's untyped cores ``_get``/``_try_put``; ``put`` raises try_put's
+the new source or the first ``CheckFailure``.  ``Lens`` writes the rest once,
+around a subclass's cores ``_get``/``_try_put``; ``put`` raises try_put's
 failure and ``check``/``check_explain`` report it, so "put iff check" holds
 by construction.
+
+The cores type as they walk.  At each node a walk finds the rule by the
+node's head, in one dict lookup, and a rule that matches types every
+position of its pattern but its holes: a variable's relation types the
+subtree it recurses into, and the rule's leaf check, or a kind check where
+put hands a primitive back, types the rest (``treelens.plan``).  So a walk
+that succeeds has typed its input, and the boundary types nothing for get.
+put does not read all of its source, so ``try_put`` types the source first;
+a core's view, and a composite's middle values, which a part's get or put
+built, are typed by the walks.  Where a walk fails (no rule for a head, a
+failed leaf check, a ``CheckFailure`` or ``RecursionError``), the boundary
+types the inputs, the view first and then the source, and reports the first
+type error it finds, else the walk's own failure, so that a type error is
+reported ahead of any other failure, as when the inputs were typed first.
 
 ``LensHandle`` is the lens of one declared relation, looked up once, when
 the handle is built; a primitive source is read by identity.  Its recursion
@@ -45,8 +58,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .frontend import Relation, ValidatedProgram, normalize_type_name
-from .plan import Rule
-from .schema import IllTyped, PRIMITIVES, check_tree_type
+from .plan import Rule, head
+from .schema import KINDS, IllTyped, PRIMITIVES, check_tree_type
 from .text import render_link, render_path, render_pattern
 from .trees import Link, LinkSet, Node, Path, Region, Tree, Var, is_match, pattern_key
 
@@ -57,6 +70,10 @@ class EngineError(Exception):
 
 class IllTypedInput(EngineError):
     """An input tree does not type-check at the expected type."""
+
+
+class _IllTypedNode(Exception):
+    """A walk met a node that no rule's typed pattern accepts: its input is ill-typed."""
 
 
 class UnknownRelation(EngineError):
@@ -236,13 +253,17 @@ def _fail(code: str, message: str, at, link: Link | None = None) -> CheckFailure
 
 def _get(rel: Relation, s: Tree, spath: Path, vpath: Path, acc: list) -> Tree:
     """View of ``s``; appends its links, at absolute paths, to ``acc``."""
-    for rule in rel.rules:
+    try:
+        rules = rel.by_source_head[s.ctor, len(s.children)]  # ``head(s)``; a leaf has no ctor
+    except (AttributeError, KeyError):
+        raise _IllTypedNode from None
+    for rule in rules:
         if rule.match_source(s):
             break
     else:
-        raise IllTypedInput(
-            f"no rule of {rel.source_type} <---> {rel.view_type} matches the source"
-        )
+        raise _IllTypedNode
+    if not rule.check_leaves(s):
+        raise _IllTypedNode
     acc.append(Link(Region(rule.region(s), spath), Region(rule.view_erased, vpath)))
     views = []
     for x in rule.variables:
@@ -253,10 +274,21 @@ def _get(rel: Relation, s: Tree, spath: Path, vpath: Path, acc: list) -> Tree:
     return rule.build_view(views)
 
 
+def _leaf(kind: type, v: Tree, node: _Index | None, skip: int, at) -> Tree | CheckFailure:
+    """A primitive of leaf class ``kind``, related by identity: ``v`` itself, with no link inside."""
+    if node is not None and (skip < len(node.here) or node.kids):
+        return _fail(
+            "E-link-at-leaf", "links may not end inside a primitive value", at, _first_link(node, skip)
+        )
+    if v.__class__ is not kind:
+        raise _IllTypedNode
+    return v
+
+
 def _sync(
     vp: ValidatedProgram,
     sources: dict,
-    rel: Relation | None,
+    rel: Relation,
     v: Tree,
     node: _Index | None,
     skip: int,
@@ -265,24 +297,15 @@ def _sync(
 ) -> Tree | CheckFailure:
     """put and check in one traversal: the new source, or why there is none.
 
-    ``rel`` is the relation at this view node (None for a primitive, related
-    by identity).  ``node`` indexes the input links at and below the current
-    view node, of which the first ``skip`` ending here are already consumed;
-    ``at`` is the current view path as a ``(parent, step)`` chain.
-    ``sources`` maps the source paths resolved so far to their subtrees.
+    ``rel`` is the relation at this view node.  ``node`` indexes the input
+    links at and below the current view node, of which the first ``skip``
+    ending here are already consumed; ``at`` is the current view path as a
+    ``(parent, step)`` chain.  ``sources`` maps the source paths resolved so
+    far to their subtrees.
     """
-    if rel is None:
-        if node is not None and (skip < len(node.here) or node.kids):
-            return _fail(
-                "E-link-at-leaf",
-                "links may not end inside a primitive value",
-                at,
-                _first_link(node, skip),
-            )
-        return v
     sty, vty = rel.source_type, rel.view_type
     if node is None or skip >= len(node.here):
-        for rule in rel.rebuild:
+        for rule in rel.by_view_head.get(head(v), ()):
             if rule.match_view(v):
                 break
         else:
@@ -345,9 +368,12 @@ def _sync(
         chain = 0
     for x in rule.variables:
         kid, kid_skip = scoped[x.name]
-        part = _sync(
-            vp, sources, x.relation, x.view_at(v), kid, kid_skip, chain, (at, x.view_path)
-        )
+        if x.relation is None:
+            part = _leaf(x.kind, x.view_at(v), kid, kid_skip, (at, x.view_path))
+        else:
+            part = _sync(
+                vp, sources, x.relation, x.view_at(v), kid, kid_skip, chain, (at, x.view_path)
+            )
         if isinstance(part, CheckFailure):
             return part
         slots.append(part)
@@ -358,31 +384,48 @@ def _sync(
     return out
 
 
-class Lens:
-    """A lens over untyped cores ``_get(s)`` and ``_try_put(s, v, ls)``.
+def _type_error(side: str, sch, ty: str, t: Tree) -> CheckFailure | None:
+    """``E-ill-typed-<side>`` at ``t``'s first type error, or None if it is well-typed."""
+    try:
+        check_tree_type(sch, ty, t)
+    except IllTyped as e:
+        return CheckFailure(f"E-ill-typed-{side}", str(e), ())
+    return None
 
-    A subclass supplies the cores, its source and view types and schemas.
+
+class Lens:
+    """A lens over cores ``_get(s)`` and ``_try_put(s, v, ls)`` that type as they walk.
+
+    A subclass supplies the cores, its source and view types and schemas.  A
+    core may take a well-typed source of ``_try_put`` for granted, and raises
+    ``_IllTypedNode`` or returns a failure on an ill-typed input.
     """
 
     def get(self, s: Tree) -> tuple[Tree, LinkSet]:
         """View of ``s`` plus the links relating source and view regions."""
         try:
-            check_tree_type(self.source_schema, self.source_type, s)
-        except IllTyped as e:
-            raise IllTypedInput(f"source: {e}") from e
-        return self._get(s)
+            return self._get(s)
+        except (_IllTypedNode, RecursionError):
+            failure = _type_error("source", self.source_schema, self.source_type, s)
+            if failure is None:
+                raise
+            raise IllTypedInput(f"source: {failure.message}") from None
 
     def try_put(self, s: Tree, v: Tree, ls) -> Tree | CheckFailure:
         """put's result, or the failure ``check_explain`` reports, in one pass."""
-        for side, sch, ty, t in (
-            ("view", self.view_schema, self.view_type, v),
-            ("source", self.source_schema, self.source_type, s),
-        ):
+        failure = _type_error("source", self.source_schema, self.source_type, s)
+        if failure is None:
             try:
-                check_tree_type(sch, ty, t)
-            except IllTyped as e:
-                return CheckFailure(f"E-ill-typed-{side}", str(e), ())
-        return self._try_put(s, v, ls)
+                out = self._try_put(s, v, ls)
+            except (_IllTypedNode, RecursionError):
+                view = _type_error("view", self.view_schema, self.view_type, v)
+                if view is None:
+                    raise
+                return view
+            if not isinstance(out, CheckFailure):
+                return out
+            failure = out
+        return _type_error("view", self.view_schema, self.view_type, v) or failure
 
     def put(self, s: Tree, v: Tree, ls) -> Tree:
         """New source retaining every linked region; rejects ill-typed inputs and invalid links."""
@@ -429,12 +472,16 @@ class LensHandle(Lens):
 
     def _get(self, s: Tree) -> tuple[Tree, LinkSet]:
         if self.relation is None:
+            if s.__class__ is not KINDS[self.source_type]:
+                raise _IllTypedNode
             return s, frozenset()
         acc: list[Link] = []
         view = _get(self.relation, s, (), (), acc)
         return view, frozenset(acc)
 
     def _try_put(self, s: Tree, v: Tree, ls) -> Tree | CheckFailure:
+        if self.relation is None:
+            return _leaf(KINDS[self.view_type], v, _index_links(ls), 0, None)
         return _sync(self.program, {(): s}, self.relation, v, _index_links(ls), 0, 0, None)
 
 

@@ -23,29 +23,32 @@ Every check on a rule's variables and wildcards reads the hole maps of one
 typing walk per side, and the same maps build the rule's one record, a
 frozen ``plan.Rule`` compiled against the program's relations; a variable's
 relation is looked up there, once.  A relation keeps its rules in program
-order and in put's rebuild order, those with a bare-variable view last.
-A program that validates has its rules indexed by the view region they
-generate, and a conversion chain is a tuple of its single-variable rules, so
-the engine never re-walks a rule's patterns.
+order, and two tables keyed by a node's ``plan.head``: get's, of the rules
+whose source can match a node with that head, in program order, and put's,
+of the rules whose view can match it, in rebuild order, those with a
+bare-variable view last in every bucket.  A program that validates has its
+rules indexed by the view region they generate, and a conversion chain is a
+tuple of its single-variable rules, so the engine never re-walks a rule's
+patterns.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from operator import attrgetter
 
-from .plan import Rule, Variable, at, compile_rule
+from .plan import Rule, Variable, at, compile_rule, head
 from .schema import (
     INT,
+    KINDS,
     Constructor,
     IllTyped,
     NoFiniteDefault,
     PRIMITIVES,
     Schema,
     check_tree_type,
-    default_value,
 )
 from .text import LensSyntaxError, TokenCursor, parse_term, read_all, render_pattern, token_lines
 from .trees import IntLeaf, Node, Path, Pattern, StrLeaf, Var, Wildcard, WILDCARD, sel
@@ -388,13 +391,17 @@ def _paren(name: str) -> str:
 
 @dataclass
 class Relation:
-    """A declared relation; ``validate_program`` sets its rules once, after all relations exist."""
+    """A declared relation; ``validate_program`` sets its rules and tables once, after all relations exist."""
 
     source_type: str
     view_type: str
     line: int
     rules: tuple[Rule, ...] = ()  # in program order
-    rebuild: tuple[Rule, ...] = ()  # put's order: rules with a non-bare view first
+    # plan.head -> the rules whose source can match such a node, in program order
+    by_source_head: dict = field(default_factory=dict)
+    # plan.head -> the rules whose view can match such a node, in put's rebuild
+    # order: the rules with a non-bare view first
+    by_view_head: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -522,18 +529,41 @@ def _compile_rule(
     if not ok:
         return None
 
-    try:
-        defaults = {h: default_value(sch, ty) for x, h, ty in src if isinstance(x, Wildcard)}
-    except NoFiniteDefault as e:
-        diags.append(Diagnostic(raw.line, "E-no-default", f"no finite default value for type {e}"))
-        return None
     variables = []
     for x, (spath, sty) in svars.items():
         vpath, vty = vvars[x]
         # A primitive is related by identity (E-primitive-source); a missing relation is E-var-relation.
         relation = by_pair.get((sty, vty))
-        variables.append(Variable(x, relation, sty, vty, spath, vpath, at(spath), at(vpath)))
-    return compile_rule(raw.source, raw.view, raw.line, index, tuple(variables), defaults)
+        kind = KINDS.get(vty) if relation is None else None
+        variables.append(Variable(x, relation, kind, sty, vty, spath, vpath, at(spath), at(vpath)))
+    wildcards = {h: ty for x, h, ty in src if isinstance(x, Wildcard)}
+    try:
+        return compile_rule(sch, raw.source, raw.view, raw.line, index, tuple(variables), wildcards)
+    except NoFiniteDefault as e:
+        diags.append(Diagnostic(raw.line, "E-no-default", f"no finite default value for type {e}"))
+        return None
+
+
+def _heads(sch: Schema, ty: str, p: Pattern) -> list:
+    """The ``plan.head`` of each value of type ``ty`` that pattern ``p`` can match."""
+    if not isinstance(p, (Var, Wildcard)):
+        return [head(p)]
+    if ty in KINDS:
+        return [KINDS[ty]]
+    return [(c.name, len(c.arg_types)) for c in sch.types[ty]]
+
+
+def _index_rules(sch: Schema, rel: Relation) -> None:
+    """Fill ``rel``'s tables of rules by the head of the node they can match."""
+    for rule in rel.rules:
+        for key in _heads(sch, rel.source_type, rule.source):
+            rel.by_source_head.setdefault(key, []).append(rule)
+    for rule in sorted(rel.rules, key=attrgetter("bare_view")):  # stable
+        for key in _heads(sch, rel.view_type, rule.view):
+            rel.by_view_head.setdefault(key, []).append(rule)
+    for table in (rel.by_source_head, rel.by_view_head):
+        for key, rules in table.items():
+            table[key] = tuple(rules)
 
 
 def reachable_types(sch: Schema, ty: str) -> frozenset:
@@ -649,7 +679,7 @@ def validate_program(program: Program) -> ValidatedProgram:
     for relation, rel in zip(relations, program.relations):
         compiled = [_compile_rule(sch, rel, raw, i, by_pair, diags) for i, raw in enumerate(rel.rules)]
         relation.rules = tuple(r for r in compiled if r is not None)
-        relation.rebuild = tuple(sorted(relation.rules, key=attrgetter("bare_view")))  # stable
+        _index_rules(sch, relation)
 
     for rel, raw_rel in zip(relations, program.relations):
         # Every variable's type pair needs an identity (primitives) or a relation.

@@ -28,8 +28,20 @@ entries.  Each rule compiles three patterns, and each serves two closures:
 
 Each ``Variable``'s ``source_at`` / ``view_at`` is that variable's entry of
 ``decompose``, next to its types, its paths and the relation it recurses
-into (None for a primitive, related by identity).  Rules hold no mutable
-state, so programs stay shareable.
+into (None for a primitive, related by identity, whose leaf class is its
+``kind``).  Rules hold no mutable state, so programs stay shareable.
+
+A rule also carries its leaf check, ``check_leaves``: for a source the
+pattern matched, whether each hole the engine does not recurse into holds a
+value of its type.  Those holes are the primitive variables, checked by leaf
+class, and the wildcards, checked by leaf class or, for a wildcard of a
+declared type, by ``check_tree_type`` of its content; each is read through
+its compiled accessor.  The types come from the hole map of the rule's
+typing walk.  A match and a leaf check at every node of a walk type the
+whole tree, as the rules themselves are typed, so get types nothing else,
+and put's walk types the view the same way (see ``treelens.engine``).
+``head`` is the key the engine dispatches a node on, through each
+relation's tables of rules by head.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from .schema import KINDS, IllTyped, Schema, check_tree_type, default_value
 from .trees import Node, Path, Pattern, Tree, Var, erase_vars, is_ground
 
 if TYPE_CHECKING:
@@ -53,6 +66,7 @@ class Variable:
 
     name: str
     relation: Relation | None  # None: a primitive, related by identity
+    kind: type | None  # a primitive's leaf class; None where ``relation`` is set
     source_type: str
     view_type: str
     source_path: Path
@@ -79,17 +93,28 @@ class Rule:
     build_view: Callable[[Sequence[Tree]], Tree]
     build_source: Callable[[Sequence[Tree]], Tree]
     merge: Callable[[Pattern], "list[Tree] | None"]
+    check_leaves: Callable[[Tree], bool]
+
+
+def head(t: Pattern):
+    """The key a node is dispatched on: its constructor and arity, or a leaf's class."""
+    return (t.ctor, len(t.children)) if t.__class__ is Node else t.__class__
 
 
 def compile_rule(
+    sch: Schema,
     source: Pattern,
     view: Pattern,
     line: int,
     index: int,
     variables: tuple[Variable, ...],
-    defaults: dict[Path, Tree],
+    wildcards: dict[Path, str],
 ) -> Rule:
-    """The rule with these variables and wildcards (path -> default, in preorder)."""
+    """The rule with these variables and wildcards (path -> type, in preorder).
+
+    Raises ``NoFiniteDefault`` when a wildcard's type has no default value.
+    """
+    defaults = {h: default_value(sch, ty) for h, ty in wildcards.items()}
     wild = {h: k for k, h in enumerate(defaults)}
     slot = {**wild, **{x.source_path: len(wild) + k for k, x in enumerate(variables)}}
     match_source, build_source = _compile(source, slot)
@@ -100,10 +125,38 @@ def compile_rule(
         fills: list[Tree] = []
         return fills if walk(r, fills) else None
 
+    leaves = [(x.source_at, x.source_type) for x in variables if x.relation is None]
+    leaves += [(at(h), ty) for h, ty in wildcards.items()]
     return Rule(
         source, view, line, index, variables, tuple(defaults.values()), erase_vars(view),
         isinstance(view, Var), match_source, match_view, region, build_view, build_source, merge,
+        _leaf_check(sch, leaves),
     )
+
+
+def _no_leaves(t: Tree) -> bool:
+    return True
+
+
+def _leaf_check(sch: Schema, leaves: list[tuple[Callable[[Tree], Tree], str]]) -> Callable[[Tree], bool]:
+    """Whether each leaf (its accessor, its type) of a tree the pattern matched holds a value of its type."""
+    if not leaves:
+        return _no_leaves
+    kinds = tuple((read, KINDS[ty]) for read, ty in leaves if ty in KINDS)
+    deep = tuple((read, ty) for read, ty in leaves if ty not in KINDS)
+
+    def check(t: Tree) -> bool:
+        for read, kind in kinds:
+            if read(t).__class__ is not kind:
+                return False
+        for read, ty in deep:
+            try:
+                check_tree_type(sch, ty, read(t))
+            except IllTyped:
+                return False
+        return True
+
+    return check
 
 
 def at(path: Path) -> Callable[[Tree], Tree]:

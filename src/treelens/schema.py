@@ -8,9 +8,12 @@ never name a synonym.  So a synonym resolves once, where a caller names a
 type (the ``ty`` of ``check_tree_type``, ``type_at`` and ``default_value``,
 and ``Schema.constructors``/``list_cell``), and never inside a walk.
 
-One iterative walk, ``check_tree_type``, types every term.  Inputs (trees
-handed to get, put, check and typed edits) and rule patterns differ only in
-their holes: an input may have none, while a rule pattern's variables and
+One iterative walk, ``check_tree_type``, types a whole term.  It types each
+rule pattern at load, put's source, the views of typed edits, the content of
+a wildcard of a declared type, and an input whose lens walk failed, to report
+its first type error; get, and put's walk of the view, type as they match
+(see ``treelens.engine``).  Inputs and rule patterns differ only in their
+holes: an input may have none, while a rule pattern's variables and
 wildcards take the type their position demands.  ``type_at`` reads one
 position's type off the schema along a path.  ``default_value`` reads a table
 built once per schema, where each default shares its arguments' defaults.
@@ -19,6 +22,7 @@ built once per schema, where each default shares its arguments' defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 from .trees import (
     IntLeaf,
@@ -35,6 +39,7 @@ from .trees import (
 INT = "Int"
 STRING = "String"
 PRIMITIVES = (INT, STRING)
+KINDS = {INT: IntLeaf, STRING: StrLeaf}  # each primitive's leaf class
 
 
 class SchemaError(Exception):
@@ -158,12 +163,12 @@ def _found_name(sch: Schema, t: Pattern) -> str:
     return owner if owner is not None else f"constructor {t.ctor}"
 
 
-def _path(at) -> Path:
-    """The path of a chain of ``(parent, index)`` pairs."""
+def _path(up, i) -> Path:
+    """The path of child ``i`` under ``up``, a chain of ``(parent chain, index)`` pairs; the root's ``i`` is None."""
     out: list[int] = []
-    while at is not None:
-        at, i = at
+    while i is not None:
         out.append(i)
+        up, i = up
     return tuple(reversed(out))
 
 
@@ -175,40 +180,46 @@ def check_tree_type(
     Inputs pass ``holes=None``: they must be trees, so a variable or wildcard
     is ill-typed.  Rule patterns pass a dict: each hole takes the type its
     position demands, recorded under the hole's path.  The walk keeps an
-    explicit stack, looks each constructor up by name, and builds a node's
-    path only to report it.
+    explicit stack, dispatches on each term's class, looks a constructor up
+    by name, and hands a node's children one path pair, built once per node;
+    a path is built only to report it or a hole.
     """
     by_name = sch.by_name()
-    stack = [(sch.resolve(ty), t, None)]
+    stack = [(sch.resolve(ty), t, None, None)]
+    push = stack.append
     while stack:
-        expected, u, at = stack.pop()
-        if isinstance(u, (Wildcard, Var)):
-            if holes is None:
-                raise IllTyped(_path(at), expected, _found_name(sch, u))
-            holes[_path(at)] = expected
-            continue
-        if expected == INT:
-            if not isinstance(u, IntLeaf):
-                raise IllTyped(_path(at), expected, _found_name(sch, u))
-            continue
-        if expected == STRING:
-            if not isinstance(u, StrLeaf):
-                raise IllTyped(_path(at), expected, _found_name(sch, u))
-            continue
-        ctors = by_name.get(expected)
-        if ctors is None:
-            raise UnknownType(expected)
-        if not isinstance(u, Node):
-            raise IllTyped(_path(at), expected, _found_name(sch, u))
-        ctor = ctors.get(u.ctor)
-        if ctor is None:
-            raise IllTyped(_path(at), expected, _found_name(sch, u))
-        if len(ctor.arg_types) != len(u.children):
-            raise IllTyped(
-                _path(at), expected, f"{u.ctor} applied to {len(u.children)} argument(s)"
-            )
-        for i in range(len(u.children) - 1, -1, -1):
-            stack.append((ctor.arg_types[i], u.children[i], (at, i)))
+        expected, u, up, i = stack.pop()
+        cls = u.__class__
+        if cls is Node:
+            ctor = by_name.get(expected, _NONE).get(u.ctor)
+            if ctor is None:
+                _mismatch(sch, expected, u, up, i)
+            args, kids = ctor.arg_types, u.children
+            if len(args) != len(kids):
+                raise IllTyped(_path(up, i), expected, f"{u.ctor} applied to {len(kids)} argument(s)")
+            here = (up, i)
+            for k in range(len(kids) - 1, -1, -1):  # the last child first, so they pop in preorder
+                push((args[k], kids[k], here, k))
+        elif cls is IntLeaf:
+            if expected != INT:
+                _mismatch(sch, expected, u, up, i)
+        elif cls is StrLeaf:
+            if expected != STRING:
+                _mismatch(sch, expected, u, up, i)
+        elif holes is not None and isinstance(u, (Wildcard, Var)):
+            holes[_path(up, i)] = expected
+        else:
+            _mismatch(sch, expected, u, up, i)
+
+
+_NONE: dict = {}  # the constructors of a primitive or an unknown type
+
+
+def _mismatch(sch: Schema, expected: str, u: Pattern, up, i) -> NoReturn:
+    """Raise for a ``u`` of the wrong type at child ``i`` of ``up`` (see ``_path``)."""
+    if expected not in PRIMITIVES and expected not in sch.types and not isinstance(u, (Wildcard, Var)):
+        raise UnknownType(expected)
+    raise IllTyped(_path(up, i), expected, _found_name(sch, u))
 
 
 def type_at(sch: Schema, ty: str, t: Tree, p: Path) -> str:

@@ -20,6 +20,8 @@ script files alike, reads a line's bare texts through a ``TokenCursor`` (a
 link file as the writer wrote it is read in one pass, below); a token's kind
 comes from its first character.  A PATH token is exactly a path that
 decodes; a malformed one lexes as its pieces, so an error points inside it.
+A string left open runs to the line's end as one token, a stray ``"``, so
+a line of escaped quotes after it lexes in one scan, not one per quote.
 Positions are found only for an error, by ``tokenize`` reading the line
 again, to the same texts: it reports the line's first stray character ahead
 of any other error.
@@ -84,7 +86,7 @@ _TOKEN_RE = re.compile(
     rf"""
       [()_@\],=|~]            # one-character tokens
     | [A-Za-z][A-Za-z0-9']*   # UIDENT, LIDENT
-    | "(?:\\.|[^"\\])*"       # STR
+    | "[^"\\]*(?:\\.[^"\\]*)*"?   # STR, or an unterminated one to the line's end: a stray '"'
     | \[(?:[0-9]+(?:,[0-9]+)*)?\]           # PATH, its usual form first, as that is faster,
     | \[(?:\s*|{_INDEX}(?:,{_INDEX})*)\]    #   then a blank body or any other that decodes
     | <--->
@@ -114,10 +116,24 @@ def _texts(line: str) -> list[str]:
     return texts
 
 
+def _closed(text: str) -> bool:
+    """Whether a token text that starts with ``"`` is a string, not one left open.
+
+    An open string runs to the line's end.  A closed one ends in a ``"``
+    after an even run of ``\\``; an open one may end in an escaped ``"``.
+    """
+    if len(text) < 2 or text[-1] != '"':
+        return False
+    body = text[1:-1]
+    return body[-1:] != "\\" or (len(body) - len(body.rstrip("\\"))) % 2 == 0
+
+
 def _kind(text: str) -> str | None:
     """The kind of a token text from ``_texts``; None for a stray character."""
     kind = _FIXED.get(text) or _FIRST.get(text[0]) or ("INT" if text[0].isdecimal() else None)
-    return None if text in ('"', "-") else kind  # a lone '"' or '-' is stray
+    if kind == "STR":
+        return kind if _closed(text) else None  # an open string is a stray '"'
+    return None if text == "-" else kind  # a lone '-' is stray
 
 
 def _decode_path(body: str, paths: dict[str, Path]) -> Path | None:
@@ -149,7 +165,7 @@ def tokenize(text: str, line: int = 1) -> tuple[list[str], list[tuple[int, int]]
     for t in texts:
         col = text.find(t, col)
         if _kind(t) is None:
-            raise LensSyntaxError(f"unexpected character {t!r}", line, col + 1)
+            raise LensSyntaxError(f"unexpected character {t[0]!r}", line, col + 1)
         where.append((line, col + 1))
         col += len(t)
     return texts, where
@@ -260,7 +276,7 @@ def parse_term(cur: TokenCursor, allow_vars: bool) -> Pattern:
                 value = None
             else:
                 value = Node(tok)
-        elif c == '"' and len(tok) > 1:
+        elif c == '"' and tok[-1] == '"' and len(tok) > 1 and (tok[-2] != "\\" or _closed(tok)):
             try:
                 value = StrLeaf(unescape_string(tok) if "\\" in tok else tok[1:-1])
             except LensSyntaxError as e:

@@ -369,6 +369,33 @@ def test_too_deep_input_is_a_one_line_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_too_deep_ill_typed_input_is_a_type_error(tmp_path, capsys):
+    # The lens walks type as they go, and one deeper than the recursion limit
+    # fails before it reaches the bad leaf; the input is then typed, without
+    # recursion, and its type error is what the command reports.
+    n = 2000
+    src = tmp_path / "deep.tree"
+    src.write_text(
+        'Plus "" (' * (n - 1)
+        + 'FromT "" (Lit "" "0")'
+        + "".join(f') (Lit "" {i})' for i in range(1, n))
+        + "\n"
+    )
+    view = tmp_path / "deep_view.tree"
+    view.write_text("Add (" * n + 'Num "0"' + ") (Num 1)" * n + "\n")
+    small = tmp_path / "small.tree"
+    small.write_text('FromT "" (Lit "" 0)\n')
+    out = ["-o", str(tmp_path / "out.tree")]
+    for argv, side in (
+        (["get", "-i", str(src), *out, "-l", str(tmp_path / "l.links")], "source"),
+        (["put", "-s", str(small), "-v", str(view), *out], "view"),
+    ):
+        code = run([argv[0], "-p", _arith(tmp_path), "-r", "Expr", "Arith", *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert err.startswith(f"type error: {side}: at [") and err.endswith("expected Int, found String\n")
+
+
 # Inputs whose terms nest far deeper than any stack allows.  A tuple hash has
 # no depth guard, so a hash walking one of these terms ends the process on a
 # signal; the script runs in a child process so that this fails the test.

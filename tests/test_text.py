@@ -666,3 +666,68 @@ def test_long_list_links_roundtrip():
         if j % 100 == 99:
             ls.add(Link(Region(triple, spine + (0, 0)), Region(WILDCARD, spine + (0,))))
     _roundtrip_links(frozenset(ls))
+
+
+# A string left open runs to the end of its line as one stray token.  Lexed
+# ``"`` by ``"``, a line of escaped quotes after it took quadratic time: one
+# scan to the line's end per ``"`` (a 1 MB line would take hours).  The
+# readers run in a child process, so that a regression fails and does not hang.
+_OPEN_STRING_SCRIPT = r"""
+import json, time
+from treelens.edits import parse_script
+from treelens.frontend import parse_program
+from treelens.text import LensSyntaxError, parse_links, parse_tree
+
+tail = '\\"' * 500_000  # 1 MB
+out = {}
+for read, text in (
+    (parse_tree, 'A "' + tail),
+    (parse_links, '(A "' + tail + "\n"),
+    (parse_program, 'data T = A "' + tail + "\n"),
+    (parse_script, 'replace [0] (A "' + tail + "\n"),
+):
+    start = time.perf_counter()
+    try:
+        read(text)
+        message = "accepted"
+    except LensSyntaxError as e:
+        message = str(e)
+    out[read.__name__] = [message, time.perf_counter() - start]
+print(json.dumps(out))
+"""
+
+
+def test_an_open_string_is_rejected_in_linear_time():
+    import json
+    import os
+    import subprocess
+
+    env = dict(os.environ, PYTHONPATH=str(EXAMPLES.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _OPEN_STRING_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    out = json.loads(done.stdout)
+    stray = "unexpected character '\"'"
+    assert {name: message for name, (message, _) in out.items()} == {
+        "parse_tree": f"1:3: {stray}",
+        "parse_links": f"1:4: {stray}",
+        "parse_program": f"1:12: {stray}",
+        "parse_script": f"1:16: {stray}",
+    }
+    assert all(seconds < 2 for _, seconds in out.values()), out
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('A "x', "1:3: unexpected character '\"'"),
+        ('A "\\"', "1:3: unexpected character '\"'"),  # the only quote after the open one is escaped
+        ('A "\\\\\\"', "1:3: unexpected character '\"'"),
+        ('A "a" "b\\" -- c', "1:7: unexpected character '\"'"),  # a comment inside an open string
+        ('A "a\\', "1:3: unexpected character '\"'"),
+    ],
+)
+def test_an_open_string_is_a_stray_quote(text, message):
+    assert _outcome(parse_tree, text) == ("error", message) == _outcome(rr.read_tree_file, text + "\n")
+    assert parse_tree('A "\\\\" "\\""') == Node("A", (StrLeaf("\\"), StrLeaf('"')))
