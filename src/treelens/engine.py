@@ -24,22 +24,22 @@ reported ahead of any other failure, as when the inputs were typed first.
 ``LensHandle`` is the lens of one declared relation, looked up once, when
 the handle is built; a primitive source is read by identity.  Its recursion
 mirrors the rule structure: at each view node either no input link ends
-here (rebuild case: pick the first rule, in the relation's rebuild order,
-whose view pattern matches) or some link does (retain case: pick the
-link with the shortest source path, find the unique rule able to generate
-its regions — the current relation first, then the other relations sharing
-the view type — keep the region's content and recurse into the holes).
-Retained regions whose rule belongs to a different source type are wrapped
-by the synthesized conversion chain for the two interchangeable types.
+here (rebuild case: one scan of the relation's rebuild table finds the
+first rule whose view pattern matches, and the bare-variable rules that
+wrap its result) or some link does (retain case: pick the link with the
+shortest source path, find the unique rule able to generate its regions —
+the current relation first, then the other relations sharing the view type
+— keep the region's content and recurse into the holes).  Retained regions
+whose rule belongs to a different source type are wrapped by the
+synthesized conversion chain for the two interchangeable types.
 
 The rules never change once the program loads, so they are not interpreted
 here: each is one ``Rule`` compiled at validation (``treelens.plan``), whose
 closures match, bind, build regions and rebuild trees, and whose variables
-already hold the relation they recurse into.  A conversion chain is a tuple
-of single-variable rules, each applied by its own ``build_source``.  The
-rules that can generate a link are looked up by (view type, view region) in
-one per-program table, and each relation's rebuild order, its rules whose
-view is not a bare variable and then those whose view is, is fixed at load.
+already hold the relation they recurse into.  A wrapping rule is applied by
+its own ``build_source``.  The rules that can generate a link are looked up
+by (view type, view region) in one per-program table, and each relation's
+rebuild table, and so whether a sugar chain cycles, is fixed at load.
 
 put and check are one traversal (``_sync``).  The input links are indexed
 once as a trie over view paths; each step hands the rule's variables their
@@ -292,7 +292,6 @@ def _sync(
     v: Tree,
     node: _Index | None,
     skip: int,
-    chain: int,
     at,
 ) -> Tree | CheckFailure:
     """put and check in one traversal: the new source, or why there is none.
@@ -301,32 +300,20 @@ def _sync(
     links at and below the current view node, of which the first ``skip``
     ending here are already consumed; ``at`` is the current view path as a
     ``(parent, step)`` chain.  ``sources`` maps the source paths resolved so
-    far to their subtrees.
+    far to their subtrees.  Either case picks one rule and the chain of
+    single-variable rules that wraps its result, innermost first: the
+    rebuild entry's bare rules, or a retained region's conversion.
     """
-    sty, vty = rel.source_type, rel.view_type
     if node is None or skip >= len(node.here):
-        for rule in rel.by_view_head.get(head(v), ()):
+        for rule, wraps in rel.rebuild.get(head(v), ()):
             if rule.match_view(v):
                 break
         else:
-            return _fail("E-no-rule", f"no view pattern of {sty} <---> {vty} matches here", at)
-        if rule.bare_view:
-            # Bounded rounds: consecutive bare-variable selections consume no
-            # view constructor, so more than one round per relation definition
-            # (plus one) proves a cycle.
-            chain += 1
-            if chain > vp.bare_chain_bound:
-                return _fail(
-                    "E-sugar-cycle",
-                    "bare-variable rules recurse without consuming the view",
-                    at,
-                )
-        else:
-            chain = 0
+            return _fail(*rel.miss, at)
         scoped, stray = _scope(rule, node, skip)
         if stray is not None:
             return _fail("E-stray-link", "link is not scoped under any rule variable", at, stray)
-        core_type, slots = sty, list(rule.defaults)
+        slots = list(rule.defaults)
     else:
         l = node.here[skip]
         ssub = _resolve(sources, l.source.path, _source_child)
@@ -346,41 +333,37 @@ def _sync(
                 at,
                 l,
             )
+        sty, vty = rel.source_type, rel.view_type
         cands = _generating_rules(vp, sty, vty, l)
         if not cands:
             return _fail("E-no-generating-rule", "no rule can generate this link", at, l)
         if len(cands) > 1:
             return _fail("E-ambiguous-link", "more than one rule can generate this link", at, l)
         rel2, rule, slots = cands[0]
-        core_type = rel2.source_type
-        if core_type != sty and (core_type, sty, vty) not in vp.inj_table:
-            return _fail(
-                "E-no-conversion",
-                f"region of type {core_type} cannot be converted to {sty}",
-                at,
-                l,
-            )
+        wraps = None
+        if rel2 is not rel:
+            steps = vp.inj_table.get((rel2.source_type, sty, vty))
+            if steps is None:
+                message = f"region of type {rel2.source_type} cannot be converted to {sty}"
+                return _fail("E-no-conversion", message, at, l)
+            for wrap in reversed(steps):
+                wraps = wrap, wraps
         scoped, other = _scope(rule, node, skip + 1)
         if other is not None:
-            return _fail(
-                "E-overlapping-regions", "second link ends inside this view region", at, other
-            )
-        chain = 0
+            return _fail("E-overlapping-regions", "second link ends inside this view region", at, other)
     for x in rule.variables:
         kid, kid_skip = scoped[x.name]
         if x.relation is None:
             part = _leaf(x.kind, x.view_at(v), kid, kid_skip, (at, x.view_path))
         else:
-            part = _sync(
-                vp, sources, x.relation, x.view_at(v), kid, kid_skip, chain, (at, x.view_path)
-            )
+            part = _sync(vp, sources, x.relation, x.view_at(v), kid, kid_skip, (at, x.view_path))
         if isinstance(part, CheckFailure):
             return part
         slots.append(part)
     out = rule.build_source(slots)
-    if core_type != sty:
-        for wrap in vp.inj_table[(core_type, sty, vty)]:
-            out = wrap.build_source([*wrap.defaults, out])
+    while wraps is not None:
+        wrap, wraps = wraps
+        out = wrap.build_source([*wrap.defaults, out])
     return out
 
 
@@ -482,7 +465,7 @@ class LensHandle(Lens):
     def _try_put(self, s: Tree, v: Tree, ls) -> Tree | CheckFailure:
         if self.relation is None:
             return _leaf(KINDS[self.view_type], v, _index_links(ls), 0, None)
-        return _sync(self.program, {(): s}, self.relation, v, _index_links(ls), 0, 0, None)
+        return _sync(self.program, {(): s}, self.relation, v, _index_links(ls), 0, None)
 
 
 def lens(program: ValidatedProgram, source_type: str, view_type: str) -> LensHandle:

@@ -24,20 +24,20 @@ typing walk per side, and the same maps build the rule's one record, a
 frozen ``plan.Rule`` compiled against the program's relations; a variable's
 relation is looked up there, once.  A relation keeps its rules in program
 order, and two tables keyed by a node's ``plan.head``: get's, of the rules
-whose source can match a node with that head, in program order, and put's,
-of the rules whose view can match it, in rebuild order, those with a
-bare-variable view last in every bucket.  A program that validates has its
-rules indexed by the view region they generate, and a conversion chain is a
-tuple of its single-variable rules, so the engine never re-walks a rule's
-patterns.
+whose source can match a node with that head, and put's rebuild table,
+which follows the relation's chain of bare-variable view rules (sugar, which
+consumes no view node), so that a sugar cycle is found at load
+(``_index_rules``).  A program that validates has its rules indexed by the
+view region they generate, and a conversion chain is a tuple of its
+single-variable rules, so the engine never re-walks a rule's patterns.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
-from operator import attrgetter
 
 from .plan import Rule, Variable, at, compile_rule, head
 from .schema import (
@@ -399,9 +399,10 @@ class Relation:
     rules: tuple[Rule, ...] = ()  # in program order
     # plan.head -> the rules whose source can match such a node, in program order
     by_source_head: dict = field(default_factory=dict)
-    # plan.head -> the rules whose view can match such a node, in put's rebuild
-    # order: the rules with a non-bare view first
-    by_view_head: dict = field(default_factory=dict)
+    # plan.head -> put's (rule, wraps) entries for such a view node, in scan
+    # order; ``wraps`` is None or a (bare rule, wraps) chain, innermost first
+    rebuild: dict = field(default_factory=dict)
+    miss: tuple[str, str] = ("", "")  # put's (code, message) where no entry matches
 
 
 @dataclass
@@ -417,11 +418,6 @@ class ValidatedProgram:
     inj_table: dict[tuple[str, str, str], tuple[Rule, ...]]
     warnings: list[Diagnostic]
     source_name: str = "<program>"
-
-    @property
-    def bare_chain_bound(self) -> int:
-        # One round per relation definition, plus one.
-        return len(self.relations) + 1
 
     def relation(self, sty: str, vty: str) -> Relation | None:
         return self.by_pair.get((sty, vty))
@@ -553,17 +549,37 @@ def _heads(sch: Schema, ty: str, p: Pattern) -> list:
     return [(c.name, len(c.arg_types)) for c in sch.types[ty]]
 
 
-def _index_rules(sch: Schema, rel: Relation) -> None:
-    """Fill ``rel``'s tables of rules by the head of the node they can match."""
+def _index_rules(sch: Schema, rel: Relation) -> Relation | None:
+    """Fill ``rel``'s tables by head; return the relation its chain of first bare rules returns to, if any.
+
+    get's table holds the rules whose source can match a node of that head.
+    put rebuilds a view node with the first entry of its table whose view
+    matches it.  A relation's first bare rule matches every view and hands
+    it, unconsumed, to its variable's relation.  So the entries are ``rel``'s
+    rules whose view is not bare, then those of each relation along that
+    chain, each with the bare rules that led to it: one ``(rule, rest)``
+    chain per step, which the step's entries share.  A chain that reaches a
+    primitive ends in its bare rule.
+    """
     for rule in rel.rules:
         for key in _heads(sch, rel.source_type, rule.source):
             rel.by_source_head.setdefault(key, []).append(rule)
-    for rule in sorted(rel.rules, key=attrgetter("bare_view")):  # stable
-        for key in _heads(sch, rel.view_type, rule.view):
-            rel.by_view_head.setdefault(key, []).append(rule)
-    for table in (rel.by_source_head, rel.by_view_head):
-        for key, rules in table.items():
-            table[key] = tuple(rules)
+    rel.by_source_head = {key: tuple(rules) for key, rules in rel.by_source_head.items()}
+    wraps, passed, r = None, set(), rel
+    while r.source_type not in passed:  # the chain's relations all view rel.view_type
+        passed.add(r.source_type)
+        bare = next((rule for rule in r.rules if rule.bare_view), None)
+        nxt = bare and bare.variables[0].relation
+        for rule in r.rules:
+            if not rule.bare_view or rule is bare and nxt is None:
+                for key in _heads(sch, r.view_type, rule.view):
+                    rel.rebuild.setdefault(key, []).append((rule, wraps))
+        if nxt is None:
+            rel.miss = ("E-no-rule", f"no view pattern of {r.source_type} <---> {r.view_type} matches here")
+            return None
+        wraps, r = (bare, wraps), nxt
+    rel.miss = ("E-sugar-cycle", "bare-variable rules recurse without consuming the view")
+    return r
 
 
 def reachable_types(sch: Schema, ty: str) -> frozenset:
@@ -589,22 +605,12 @@ def _interchangeable(sch: Schema, pairs: dict[tuple[str, str], Relation]) -> set
     by_view: dict[str, list[str]] = {}
     for sty, vty in pairs:
         by_view.setdefault(vty, []).append(sty)
-    reach: dict[str, frozenset] = {}
-
-    def reach_of(ty: str) -> frozenset:
-        if ty not in reach:
-            reach[ty] = reachable_types(sch, ty)
-        return reach[ty]
-
+    reach_of = cache(lambda ty: reachable_types(sch, ty))
     out = set()
-    for vty, stys in by_view.items():
-        for s1 in stys:
-            for s2 in stys:
-                if s1 != s2 and any(
-                    s1 in reach_of(s) and s2 in reach_of(s) and vty in reach_of(v)
-                    for s, v in pairs
-                ):
-                    out.add((s1, s2, vty))
+    for s, v in pairs:
+        for vty in reach_of(v) & by_view.keys():
+            below = [t for t in by_view[vty] if t in reach_of(s)]
+            out.update((s1, s2, vty) for s1 in below for s2 in below if s1 != s2)
     return out
 
 
@@ -679,7 +685,6 @@ def validate_program(program: Program) -> ValidatedProgram:
     for relation, rel in zip(relations, program.relations):
         compiled = [_compile_rule(sch, rel, raw, i, by_pair, diags) for i, raw in enumerate(rel.rules)]
         relation.rules = tuple(r for r in compiled if r is not None)
-        _index_rules(sch, relation)
 
     for rel, raw_rel in zip(relations, program.relations):
         # Every variable's type pair needs an identity (primitives) or a relation.
@@ -728,6 +733,18 @@ def validate_program(program: Program) -> ValidatedProgram:
     if diags:
         raise ValidationError(diags, program.source_name)
 
+    for rel in relations:
+        again = _index_rules(sch, rel)
+        if again is not None:  # a cycle: is some view matched by no rule on the way?
+            rows = [(k, (r.view,)) for k, (r, _) in enumerate(e for es in rel.rebuild.values() for e in es)]
+            gap = _walk_matrix(sch, rows, (rel.view_type,), None)
+            if gap is not None:
+                gap_text = (
+                    f"bare-variable rules of {rel.source_type} <---> {rel.view_type} cycle back to "
+                    f"{again.source_type} <---> {again.view_type}; writing back views that no rule "
+                    f"on the way matches will be rejected, e.g. {render_pattern(gap[0])}"
+                )
+                warnings.append(Diagnostic(rel.line, "W-sugar-cycle", gap_text))
     generators: dict[tuple[str, Pattern], list[tuple[Relation, Rule]]] = {}
     for rel in relations:
         for rule in rel.rules:

@@ -6,21 +6,28 @@ rules (``test_plan.py``), the engine and the edits must agree with.
 ``covers_type`` and ``patterns_overlap`` (with ``_covers`` and ``_wildish``)
 are the coverage check and the pairwise overlap test that validation made
 before one pattern-matrix walk per relation side replaced them; the walk's
-verdicts must agree with them (``test_frontend.py``).  They live with the
-tests, so no module of the package can use them and a fault in the code
-under test cannot leak into its reference.  They recurse; the trees and
-patterns the tests give them are small.
+verdicts must agree with them (``test_frontend.py``).
+``rebuild_by_bare_steps`` is put's rebuild as it was before each relation's
+rebuild table, one step per bare-variable rule under a bound; the tables
+must agree with it (``test_engine.py``).  They live with the tests, so no
+module of the package can use them and a fault in the code under test
+cannot leak into its reference.  They recurse; the trees and patterns the
+tests give them are small.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Mapping
 
+from treelens.engine import CheckFailure
+from treelens.frontend import Relation, ValidatedProgram
 from treelens.schema import PRIMITIVES, Schema
 from treelens.trees import (
     WILDCARD,
     IntLeaf,
     Node,
+    Path,
     PathOutOfRange,
     Pattern,
     StrLeaf,
@@ -171,3 +178,33 @@ def patterns_overlap(p: Pattern, q: Pattern) -> bool:
             and all(patterns_overlap(a, b) for a, b in zip(p.children, q.children))
         )
     return p == q
+
+
+def rebuild_by_bare_steps(
+    vp: ValidatedProgram, rel: Relation, v: Tree, path: Path = (), chain: int = 0
+) -> Tree | CheckFailure:
+    """put of a well-typed view ``v`` with no links, one frame per bare-variable rule.
+
+    At each view node the first rule whose view matches wins, those whose
+    view is not a bare variable first.  A bare rule consumes no view node:
+    it recurses into its variable's relation at the same node.  So more
+    consecutive bare steps than one per relation, plus one, prove a cycle.
+    """
+    for rule in sorted(rel.rules, key=attrgetter("bare_view")):  # stable
+        if rule.match_view(v):
+            break
+    else:
+        message = f"no view pattern of {rel.source_type} <---> {rel.view_type} matches here"
+        return CheckFailure("E-no-rule", message, path)
+    chain = chain + 1 if rule.bare_view else 0
+    if chain > len(vp.relations) + 1:
+        return CheckFailure("E-sugar-cycle", "bare-variable rules recurse without consuming the view", path)
+    slots = list(rule.defaults)
+    for x in rule.variables:
+        part = x.view_at(v)
+        if x.relation is not None:
+            part = rebuild_by_bare_steps(vp, x.relation, part, path + x.view_path, chain)
+            if isinstance(part, CheckFailure):
+                return part
+        slots.append(part)
+    return rule.build_source(slots)

@@ -246,7 +246,7 @@ def test_criterion_9_termination_guard():
         ok = ok and (accepted == put_ok) and elapsed < 1.0
         if v == parse_tree("VB"):
             ok = ok and not accepted  # the chain never terminates for VB
-    _report(9, f"bare-variable chains bounded; worst input {worst*1000:.1f}ms < 1s", ok)
+    _report(9, f"sugar cycles decided at load; worst input {worst*1000:.1f}ms < 1s", ok)
 
 
 def test_criterion_10_format_roundtrips(arith, arith_expr):

@@ -32,6 +32,7 @@ ORACLES = {
     "_covers",
     "covers_type",
     "patterns_overlap",
+    "rebuild_by_bare_steps",
 }
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import subtrees
-from oracles import links_valid, tree_size
+from oracles import links_valid, rebuild_by_bare_steps, tree_size
 from treelens import (
     WILDCARD,
     IntLeaf,
@@ -239,9 +239,7 @@ def test_bare_chain_rejected_quickly():
     assert h.put(s, parse_tree("VA"), frozenset()) == parse_tree("PZ")
 
 
-def test_bare_chain_longer_than_two_rounds_accepted():
-    # Termination needs three rounds here; the bounded check must allow it.
-    text = """data P = MkP Q | PZ
+_THREE_ROUNDS = """data P = MkP Q | PZ
 data Q = MkQ R | QZ
 data R = MkR P | RZ
 data V = VA | VB
@@ -258,10 +256,46 @@ R <---> V
   MkR p ~ p
   RZ ~ VB
 """
-    vp = load_program(text)
+
+
+def test_bare_chain_longer_than_two_rounds_accepted():
+    # P's chain of bare rules passes Q before R's rule matches VB.
+    vp = load_program(_THREE_ROUNDS)
     h = lens(vp, "P", "V")
     assert h.check(parse_tree("PZ"), parse_tree("VB"), frozenset())
     assert h.put(parse_tree("PZ"), parse_tree("VB"), frozenset()) == parse_tree("MkP (MkQ RZ)")
+
+
+def test_rebuild_tables_agree_with_one_frame_per_bare_step():
+    # put with no links only rebuilds.  On get's views, on random views of
+    # the view type and on VB, which the sugar chains hold, each relation's
+    # rebuild table gives the tree, or the failure's code, message and view
+    # path, of the walk that recursed once per bare rule under a bound.  In
+    # the last program, A's chain ends at B, which no rule of B matches.
+    from conftest import example_text
+    from test_programs import RELATIONS
+    from treelens.harness import gen_tree
+
+    cases = [(load_program(example_text(name), name), sty, vty) for name, sty, vty in RELATIONS]
+    cases += [(load_program(_THREE_ROUNDS), sty, "V") for sty in "PQR"]
+    ends = (
+        "data A = MkA B | AZ\ndata B = BZ\ndata V = VA | VB\n\n"
+        "A <---> V\n  MkA b ~ b\n  AZ ~ VA\n\nB <---> V\n  BZ ~ VA\n"
+    )
+    cases.append((load_program(ends), "A", "V"))
+    failures = set()
+    for vp, sty, vty in cases:
+        h = lens(vp, sty, vty)
+        s = gen_tree(vp.schema, h.source_type, 20, 0)
+        views = [parse_tree("VB")] if vty == "V" else []
+        for seed in range(100):
+            views.append(h.get(gen_tree(vp.schema, h.source_type, 20, seed))[0])
+            views.append(gen_tree(vp.schema, h.view_type, 20, seed))
+        for v in views:
+            out = h.try_put(s, v, frozenset())
+            assert out == rebuild_by_bare_steps(vp, h.relation, v), (sty, vty, render_pattern(v))
+            failures.add(getattr(out, "code", None))
+    assert failures == {None, "E-no-rule", "E-sugar-cycle"}
 
 
 def test_put_and_check_type_check_the_source(arith_expr):
@@ -512,6 +546,28 @@ def test_put_and_check_visit_linearly_many_nodes(arith_expr, monkeypatch):
     for label in ("retain", "rebuild"):
         a, b, c = (counts[label, n] for n in (25, 50, 100))
         assert c - b == 2 * (b - a)  # exactly linear in n
+
+
+def _right_nested_sum(n: int):
+    """``Add (Num 1) (Add (Num 2) (... (Num n)))``."""
+    return parse_tree("".join(f"Add (Num {i}) (" for i in range(1, n)) + f"Num {n}" + ")" * (n - 1))
+
+
+def test_put_rebuilds_each_view_node_in_one_call(arith_expr, monkeypatch):
+    # Through Expr <---> Arith, each right operand is a Term, rebuilt as an
+    # Add through Paren and Plus, and each left one an Expr, rebuilt as a Num
+    # through FromT and Lit.  One scan of the relation's rebuild table picks
+    # both rules, so put makes one call per view node that is not a leaf.
+    from treelens import engine
+
+    calls = _counting(monkeypatch, engine, "_sync")
+    s = parse_tree('FromT "" (Lit "" 0)')
+    for n in (25, 50, 100):
+        v = _right_nested_sum(n)
+        calls.clear()
+        out = arith_expr.put(s, v, frozenset())
+        assert len(calls) == sum(isinstance(t, Node) for _, t in subtrees(v)) == 2 * n - 1
+        assert arith_expr.get(out)[0] == v
 
 
 def test_put_resolves_each_path_in_constant_steps(arith_expr, monkeypatch):

@@ -17,6 +17,7 @@ from treelens import (
 from treelens import frontend
 from treelens.frontend import ValidationError, _compile_rule, normalize_type_name
 from treelens.text import LensSyntaxError, render_pattern
+from treelens.trees import StrLeaf
 
 ARITH = example_text("arith.lens")
 
@@ -200,6 +201,46 @@ def test_view_coverage_is_warning(arith):
         "r.lens:4:1: W-view-coverage: view patterns do not cover List Int; "
         "writing back such views will be rejected, e.g. Nil"  # a view no rule builds
     ]
+
+
+def test_sugar_cycle_is_warned_where_a_view_is_left_uncovered():
+    # sugar_chain's P and Q lead to each other through bare rules, and no rule
+    # on the way matches VB.  arith's Expr and Term cycle too, but the rules
+    # on their way cover every Arith, and so do those of its variants.
+    vp = load_program(example_text("sugar_chain.lens"), "s.lens")
+    why = "writing back views that no rule on the way matches will be rejected, e.g. VB"
+    assert [w.format("s.lens") for w in vp.warnings] == [
+        f"s.lens:5:1: W-sugar-cycle: bare-variable rules of P <---> V cycle back to P <---> V; {why}",
+        f"s.lens:9:1: W-sugar-cycle: bare-variable rules of Q <---> V cycle back to Q <---> V; {why}",
+    ]
+    for name in ("arith.lens", "brac_paren.lens", "compose_chain.lens"):
+        assert load_program(example_text(name)).warnings == []
+
+
+def _entries(rel, key):
+    """``rel``'s rebuild entries for a view head, as (rule line, wrapping rule lines, innermost first)."""
+    out = []
+    for rule, wraps in rel.rebuild.get(key, ()):
+        lines = []
+        while wraps is not None:
+            wrap, wraps = wraps
+            lines.append(wrap.line)
+        out.append((rule.line, lines))
+    return out
+
+
+def test_rebuild_tables_follow_the_first_bare_rules(arith, addrbook):
+    # Expr's own Sub rule comes first, then Term's, through FromT (line 9).
+    # The chain returns to Expr through Paren, so a scan that matches nothing
+    # is a sugar cycle.  Person reaches the primitive Name through Triple, so
+    # its one entry is Triple's bare rule, wrapped by Person's.
+    expr, term = arith.relation("Expr", "Arith"), arith.relation("Term", "Arith")
+    assert _entries(expr, ("Sub", 2)) == [(8, []), (13, [9])]
+    assert _entries(expr, ("Num", 1)) == [(12, [9])]
+    assert _entries(term, ("Add", 2)) == [(7, [14])]
+    assert expr.miss[0] == term.miss[0] == "E-sugar-cycle"
+    person = addrbook.relation("Person", "String")
+    assert list(person.rebuild) == [StrLeaf] and _entries(person, StrLeaf) == [(31, [28])]
 
 
 def test_duplicate_relation_rejected():
@@ -535,3 +576,47 @@ def test_the_matrix_walk_is_handed_rows_in_proportion_to_the_rules(monkeypatch):
         load_program(_one_relation(n))
         totals.append(sum(handed))
     assert totals[1] <= 2.2 * totals[0], totals
+
+
+_LADDER_SCRIPT = """
+import json, sys, time
+from treelens import lens, load_program, parse_tree, render_pattern
+
+n = int(sys.argv[1])
+# T{i} <---> V relates L{i} to V{i} and unwraps W{i}, which holds a T{i+1}.
+# T{n-1} is declared first, so each instance exists before a declaration
+# names it, and no instantiation nests past the 64-deep limit.
+lines = ["data V = " + " | ".join(f"V{i}" for i in range(n)), f"data T{n - 1} = L{n - 1}"]
+lines += [f"data T{i} = L{i} | W{i} T{i + 1}" for i in range(n - 2, -1, -1)]
+for i in range(n):
+    lines += ["", f"T{i} <---> V", f"  L{i} ~ V{i}"] + ([f"  W{i} t ~ t"] if i < n - 1 else [])
+text = "\\n".join(lines) + "\\n"
+start = time.perf_counter()
+vp = load_program(text)
+seconds = time.perf_counter() - start
+out = lens(vp, "T0", "V").put(parse_tree("L0"), parse_tree(f"V{n - 1}"), frozenset())
+print(json.dumps([seconds, render_pattern(out)]))
+"""
+
+
+def test_a_long_ladder_of_bare_rules_loads_in_bounded_time():
+    # n relations at one view type, each leading to the next through a bare
+    # rule: every rebuild table holds the rest of the ladder, so they hold
+    # n(n+1)/2 entries in all, and checking which source types are
+    # interchangeable visits each relation once.  Validating 400 took 14.7 s
+    # when that check compared every pair of source types with every
+    # relation.  put of the last view rebuilds the whole chain of wraps.
+    import json
+    import os
+    import subprocess
+    import sys
+
+    n = 400
+    env = dict(os.environ, PYTHONPATH=str(EXAMPLES.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _LADDER_SCRIPT, str(n)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    seconds, out = json.loads(done.stdout)
+    assert out == "".join(f"W{i} (" for i in range(n - 2)) + f"W{n - 2} L{n - 1}" + ")" * (n - 2)
+    assert seconds < 3, seconds
